@@ -160,9 +160,12 @@ def inner(f: FactoredMatrix, g: FactoredMatrix) -> float:
 def frobenius_distance(f: FactoredMatrix, g: FactoredMatrix) -> float:
     """Frobenius distance between two factored matrices.
 
-    Uses dense subtraction up to 1000 on a side, where cancellation in the
-    Gram identity would dominate tiny distances; falls back to the Gram form
-    above that size.
+    Up to 1000 on a side, takes the R factors of QR on the stacked factors,
+    as :func:`combine` does, and returns the norm of the small core
+    ``R_u diag(sigma_f, -sigma_g) R_v^T``: the difference is formed before
+    any squaring, so tiny distances keep their digits.  Above that size the
+    QR costs more than the solver step it measures, and the cheaper Gram
+    identity is used instead.
     """
     if f.shape != g.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {g.shape}")
@@ -174,6 +177,9 @@ def frobenius_distance(f: FactoredMatrix, g: FactoredMatrix) -> float:
     ):
         return 0.0
     if max(f.shape) <= 1000:
-        return float(np.linalg.norm(f.dense() - g.dense()))
+        ru = np.linalg.qr(np.hstack((f.u, g.u)), mode="r")
+        rv = np.linalg.qr(np.hstack((f.v, g.v)), mode="r")
+        core = (ru * np.concatenate((f.sigma, -g.sigma))) @ rv.T
+        return float(np.linalg.norm(core))
     d2 = f.norm() ** 2 + g.norm() ** 2 - 2.0 * inner(f, g)
     return float(np.sqrt(max(d2, 0.0)))

@@ -15,8 +15,9 @@ class ObservedMatrix:
 
     Entries are stored in row-major sorted order so that residual traversal
     and serialization are reproducible.  Duplicate (i, j) pairs are rejected
-    rather than merged.  Instances are immutable after construction and safe
-    to share across threads.
+    rather than merged, and NaN or infinite values are rejected outright.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
     m: int
@@ -33,6 +34,11 @@ class ObservedMatrix:
         values = np.asarray(self.values, dtype=np.float64).copy()
         if rows.ndim != 1 or cols.shape != rows.shape or values.shape != rows.shape:
             raise ValueError("rows, cols and values must be 1-d arrays of equal length")
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"non-finite value {values[k]} at ({rows[k]}, {cols[k]}); "
+                             "observed entries must be finite")
         if rows.size:
             if rows.min() < 0 or rows.max() >= self.m:
                 raise ValueError("row index out of range")

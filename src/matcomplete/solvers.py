@@ -11,8 +11,8 @@ import numpy as np
 
 from .factored import FactoredMatrix, combine, frobenius_distance, project_omega
 from .observed import ObservedMatrix
-from .operators import assemble_iterate_operator
-from .shrinkage import fejer_slack, fixed_rank_step, soft_threshold
+from .operators import SpLrOperator, assemble_iterate_operator
+from .shrinkage import fejer_slack, soft_threshold
 from .svd import DEFAULT_TOL, truncated_svd
 
 CONVERGED = "converged"
@@ -215,7 +215,10 @@ def objective(x: FactoredMatrix, obs: ObservedMatrix, lam: float) -> float:
     lam times the nuclear norm."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    misfit = obs.values - project_omega(x, obs)
+    return _objective_value(_misfit(x, obs), x, lam)
+
+
+def _objective_value(misfit: np.ndarray, x: FactoredMatrix, lam: float) -> float:
     return 0.5 * float(misfit @ misfit) + lam * x.nuclear_norm()
 
 
@@ -225,8 +228,27 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _residual_ratio(x: FactoredMatrix, obs: ObservedMatrix, obs_norm: float) -> float:
-    return _ratio(float(np.linalg.norm(obs.values - project_omega(x, obs))), obs_norm)
+def _misfit(x: FactoredMatrix, obs: ObservedMatrix) -> np.ndarray:
+    """``a - P_omega(x)``: one gather, turned into the misfit in place."""
+    out = project_omega(x, obs)
+    np.subtract(obs.values, out, out=out)
+    return out
+
+
+def _momentum_operator(obs, theta, x, misfit, x_prev, misfit_prev) -> SpLrOperator:
+    """The fill-in operator at the momentum point ``(1+theta) x - theta x_prev``.
+
+    P_omega is linear, so the point's misfit is ``misfit + theta (misfit -
+    misfit_prev)`` and needs no gather.  It is built in the buffer of
+    ``misfit_prev``, which the caller must no longer need.
+    """
+    if theta == 0.0:
+        return SpLrOperator(obs, x, misfit)
+    z = combine(1.0 + theta, x, -theta, x_prev)
+    np.subtract(misfit, misfit_prev, out=misfit_prev)
+    misfit_prev *= theta
+    misfit_prev += misfit
+    return SpLrOperator(obs, z, misfit_prev)
 
 
 def _svd_exceeding(op, threshold, r_est, bump, svd_tol):
@@ -292,9 +314,10 @@ def phase_one(
     p = min(m, n)
     trace = trace if trace is not None else SolveTrace()
     obs_norm = obs.norm()
-    x_prev = FactoredMatrix.zero(m, n)
-    x_last = x_prev
-    z = x_prev
+    z = FactoredMatrix.zero(m, n)
+    x_prev = z
+    misfit_prev = obs.values
+    op = SpLrOperator(obs, z, misfit_prev)
     rho = 0.0
     rho_prev = math.inf
     sigma_top = 0.0
@@ -305,8 +328,8 @@ def phase_one(
 
     for j in range(1, w + 1):
         iterations = j
-        op = assemble_iterate_operator(obs, z)
         f = truncated_svd(op, min(r + 1, p), tol=svd_tol)
+        del op  # its residual copy would only add to the peak during the gather
         rho = float(f.sigma[r]) if r < p else 0.0
         sigma_top = float(f.sigma[0]) if f.k else 0.0
         if j == 1:
@@ -314,25 +337,27 @@ def phase_one(
         if math.isfinite(rho_prev) and abs(rho - rho_prev) / (anchor + rho_prev) < eps_rho:
             stabilized = True
             trace.append(TraceRecord(j, 1, rho, math.nan, math.nan, math.nan,
-                                     x_last.rank, time.perf_counter() - t0))
+                                     x_prev.rank, time.perf_counter() - t0))
             break
         x_j = soft_threshold(f, rho)
+        misfit = _misfit(x_j, obs)
         slack = math.nan
         if ground_truth is not None:
             slack = fejer_slack(z, x_j, ground_truth, r, rho)
         trace.append(TraceRecord(
             j, 1, rho, math.nan,
-            _residual_ratio(x_j, obs, obs_norm),
+            _ratio(float(np.linalg.norm(misfit)), obs_norm),
             _ratio(frobenius_distance(x_j, x_prev), x_prev.norm()),
             x_j.rank, time.perf_counter() - t0, slack,
         ))
         theta = momentum_coefficient(j, beta)
-        z = x_j if theta == 0.0 else combine(1.0 + theta, x_j, -theta, x_prev)
+        op = _momentum_operator(obs, theta, x_j, misfit, x_prev, misfit_prev)
+        z = op.z
         x_prev = x_j
-        x_last = x_j
+        misfit_prev = misfit
         rho_prev = rho
 
-    return PhaseOneResult(z, rho, x_last, iterations, stabilized, sigma_top, trace)
+    return PhaseOneResult(z, rho, x_prev, iterations, stabilized, sigma_top, trace)
 
 
 def phase_two(
@@ -368,9 +393,10 @@ def phase_two(
         raise ValueError(f"shape mismatch: start {x0.shape} vs observed {obs.shape}")
     trace = trace if trace is not None else SolveTrace()
     obs_norm = obs.norm()
-    z = x0
     x_prev = x0
-    f_prev = objective(x0, obs, lam)
+    misfit_prev = _misfit(x0, obs)
+    f_prev = _objective_value(misfit_prev, x0, lam)
+    op = SpLrOperator(obs, x0, misfit_prev)
     best_f, best_x = f_prev, x0
     r_est = r
     status = BUDGET_EXHAUSTED
@@ -381,18 +407,19 @@ def phase_two(
 
     for k in range(1, it_max + 1):
         iterations = k
-        op = assemble_iterate_operator(obs, z)
         f = _svd_exceeding(op, lam, r_est, rank_bump, svd_tol)
+        del op
         sigma_beyond = f.sigma[-1] if f.sigma.size and f.sigma[-1] < lam else math.nan
         x_k = soft_threshold(f, lam)
         r_est = x_k.rank
-        f_k = objective(x_k, obs, lam)
+        misfit = _misfit(x_k, obs)
+        f_k = _objective_value(misfit, x_k, lam)
         dist = frobenius_distance(x_k, x_prev)
         change = _ratio(dist, x_prev.norm())
         crit = min(_ratio(abs(f_prev - f_k), f_prev), change)
         trace.append(TraceRecord(
             iteration_offset + k, phase, sigma_beyond, f_k,
-            _residual_ratio(x_k, obs, obs_norm), change,
+            _ratio(float(np.linalg.norm(misfit)), obs_norm), change,
             x_k.rank, time.perf_counter() - t0,
         ))
         if f_k < best_f:
@@ -406,8 +433,9 @@ def phase_two(
             x_final = x_k
             break
         theta = momentum_coefficient(k, 2.0) if momentum else 0.0
-        z = x_k if theta == 0.0 else combine(1.0 + theta, x_k, -theta, x_prev)
+        op = _momentum_operator(obs, theta, x_k, misfit, x_prev, misfit_prev)
         x_prev = x_k
+        misfit_prev = misfit
         f_prev = f_k
     else:
         x_final = best_x
@@ -464,11 +492,13 @@ def frsi(
     residual is the previous iterate's and the change spans the pair, so the
     test first fires one step after the residual criterion is met.
     """
-    if eps_1 <= 0 or it_max < 1:
-        raise ValueError("need eps_1 > 0 and it_max >= 1")
+    if r < 1 or eps_1 <= 0 or it_max < 1:
+        raise ValueError("need r >= 1, eps_1 > 0 and it_max >= 1")
     trace = SolveTrace()
     obs_norm = obs.norm()
+    p = min(obs.shape)
     x = FactoredMatrix.zero(*obs.shape)
+    misfit = obs.values
     resid_prev = math.inf
     status = BUDGET_EXHAUSTED
     stall = _StallDetector()
@@ -477,8 +507,12 @@ def frsi(
 
     for k in range(1, it_max + 1):
         iterations = k
-        x_next, rho = fixed_rank_step(x, obs, r, svd_tol)
-        resid = _residual_ratio(x_next, obs, obs_norm)
+        # the fixed-rank step, on the misfit carried over from the last pass
+        f = truncated_svd(SpLrOperator(obs, x, misfit), min(r + 1, p), tol=svd_tol)
+        rho = float(f.sigma[r]) if r < p else 0.0
+        x_next = soft_threshold(f, rho)
+        misfit = _misfit(x_next, obs)
+        resid = _ratio(float(np.linalg.norm(misfit)), obs_norm)
         dist = frobenius_distance(x_next, x)
         change = _ratio(dist, x.norm())
         slack = math.nan
@@ -546,7 +580,7 @@ def svt(
         sigma_beyond = f.sigma[-1] if f.sigma.size and f.sigma[-1] < tau else math.nan
         x_next = soft_threshold(f, tau)
         r_est = x_next.rank
-        misfit = obs.values - project_omega(x_next, obs)
+        misfit = _misfit(x_next, obs)
         resid = _ratio(float(np.linalg.norm(misfit)), obs_norm)
         dist = frobenius_distance(x_next, x)
         trace.append(TraceRecord(k, 1, sigma_beyond, math.nan, resid,
@@ -598,7 +632,7 @@ def fpc(
         raise ValueError("need positive step, eps_3 and budgets")
     m, n = obs.shape
     if lambda0 is None:
-        sparse_op = assemble_iterate_operator(obs, FactoredMatrix.zero(m, n))
+        sparse_op = SpLrOperator(obs, FactoredMatrix.zero(m, n), obs.values)
         lambda0 = float(truncated_svd(sparse_op, 1, tol=svd_tol).sigma[0])
     if lambda0 < 0:
         raise ValueError("lambda0 must be nonnegative")
@@ -606,6 +640,7 @@ def fpc(
     trace = SolveTrace()
     obs_norm = obs.norm()
     x = FactoredMatrix.zero(m, n)
+    misfit = obs.values
     lam = lambda0
     r_est = 1
     total = 0
@@ -618,17 +653,21 @@ def fpc(
             if total >= it_max:
                 break
             total += 1
-            blended = step * obs.values + (1.0 - step) * project_omega(x, obs)
-            op = assemble_iterate_operator(ObservedMatrix._from_sorted(obs, blended), x)
+            # x filled in with the data blended toward it, a - (1 - step) * misfit,
+            # whose residual on omega is step * misfit
+            blended = ObservedMatrix._from_sorted(obs, obs.values - (1.0 - step) * misfit)
+            op = SpLrOperator(blended, x, step * misfit)
             threshold = lam * step
             f = _svd_exceeding(op, threshold, r_est, rank_bump, svd_tol)
+            del op, blended
             sigma_beyond = f.sigma[-1] if f.sigma.size and f.sigma[-1] < threshold else math.nan
             x_next = soft_threshold(f, threshold)
             r_est = max(x_next.rank, 1)
+            misfit = _misfit(x_next, obs)
             dist = frobenius_distance(x_next, x)
             change = _ratio(dist, max(1.0, x.norm()))
-            trace.append(TraceRecord(total, 1, sigma_beyond, objective(x_next, obs, lam),
-                                     _residual_ratio(x_next, obs, obs_norm), change,
+            trace.append(TraceRecord(total, 1, sigma_beyond, _objective_value(misfit, x_next, lam),
+                                     _ratio(float(np.linalg.norm(misfit)), obs_norm), change,
                                      x_next.rank, time.perf_counter() - t0))
             x = x_next
             if change <= eps_3:

@@ -128,6 +128,11 @@ def test_frobenius_distance_small_matches_dense(rng):
     g = random_factored(rng, 20, 15, 4)
     expected = np.linalg.norm(f.dense() - g.dense())
     assert abs(frobenius_distance(f, g) - expected) <= 1e-10 * max(1.0, expected)
+    # near cancellation: a relative perturbation of 1e-7 along other factors,
+    # where the Gram identity would keep only about one digit
+    h = combine(1.0, f, 1e-7 * f.norm() / g.norm(), g)
+    expected = np.linalg.norm(f.dense() - h.dense())
+    assert abs(frobenius_distance(f, h) - expected) <= 1e-6 * expected
 
 
 def test_frobenius_distance_gram_path_matches_dense(rng):

@@ -27,6 +27,19 @@ def test_index_bounds_checked():
         ObservedMatrix(2, 2, [0], [-1], [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValueError, match=r"non-finite value .* at \(1, 0\)"):
+        ObservedMatrix(2, 2, [0, 1], [1, 0], [1.0, bad])
+
+
+def test_load_rejects_non_finite_value(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("2 2 2\n0 0 1.5\n1 1 nan\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        ObservedMatrix.load(path)
+
+
 def test_mismatched_lengths_rejected():
     with pytest.raises(ValueError, match="equal length"):
         ObservedMatrix(2, 2, [0, 1], [0], [1.0, 2.0])

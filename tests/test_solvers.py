@@ -24,6 +24,7 @@ from matcomplete import (
     truncated_svd,
     two_phase,
 )
+from matcomplete import factored, solvers
 from matcomplete.operators import assemble_iterate_operator
 from matcomplete.solvers import _StallDetector
 
@@ -406,3 +407,64 @@ def test_stall_detector_requires_three_consecutive():
     assert not det.update(0.0)
     assert not det.update(0.0)
     assert det.update(0.0)
+
+
+# --- one omega-gather per iteration ---
+
+
+@pytest.fixture
+def gather_count(monkeypatch):
+    """Counts every gather of factor rows onto observed entries."""
+    calls = []
+    original = factored.project_entries
+
+    def counting(f, rows, cols):
+        calls.append(f.k)
+        return original(f, rows, cols)
+
+    monkeypatch.setattr(factored, "project_entries", counting)
+    return calls
+
+
+@pytest.mark.parametrize("solve", [
+    lambda obs: two_phase(obs, SolverConfig(r=3, beta=5.0)),
+    lambda obs: phase_two(obs, 3, 0.5, FactoredMatrix.zero(60, 60), eps_lambda=1e-8),
+    lambda obs: soft_impute(obs, 0.5, eps=1e-8, rank_start=3),
+    lambda obs: frsi(obs, 3, eps_1=1e-6),
+    lambda obs: fpc(obs, eps_3=1e-4, step=1.5),
+], ids=["two_phase", "phase_two", "soft_impute", "frsi", "fpc"])
+def test_one_gather_per_iteration(gather_count, solve):
+    inst = gen_synthetic(60, 3, 0.4, seed=4)
+    res = solve(inst.obs)
+    assert res.iterations >= 3
+    assert len(gather_count) <= res.iterations + 1
+
+
+@pytest.fixture
+def checked_residuals(monkeypatch):
+    """Verifies each operator's residual against a fresh gather before its SVD."""
+    checked = []
+    original = solvers.truncated_svd
+
+    def checking(op, k, **kwargs):
+        op.check_residual(1e-12)
+        checked.append(op.z.k)
+        return original(op, k, **kwargs)
+
+    monkeypatch.setattr(solvers, "truncated_svd", checking)
+    return checked
+
+
+def test_momentum_residual_matches_fresh_gather(checked_residuals):
+    inst = gen_synthetic(60, 3, 0.4, seed=4)
+    res = two_phase(inst.obs, SolverConfig(r=3, beta=5.0))
+    assert res.phase_split[0] >= 3 and res.phase_split[1] >= 2
+    # operators at a momentum point carry a combined factorization of up to 2r columns
+    assert max(checked_residuals) > 3
+    assert len(checked_residuals) >= res.iterations
+
+
+def test_fpc_blended_residual_matches_fresh_gather(checked_residuals):
+    inst = gen_synthetic(60, 3, 0.4, seed=4)
+    res = fpc(inst.obs, eps_3=1e-4, step=1.5)
+    assert len(checked_residuals) >= res.iterations + 1
