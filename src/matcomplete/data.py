@@ -65,8 +65,10 @@ def gen_synthetic(n: int, r: int, p: float, seed: int) -> SyntheticInstance:
 
     Draw order under the PCG64 generator seeded with ``seed``: left factor
     (n-by-r, C order), right factor (r-by-n), then the surviving flat indices
-    (uniform without replacement).  Identical seeds give identical instances
-    on every platform.
+    (uniform without replacement).  Identical seeds give identical draws on
+    every platform; the observed values are read off the factored ground
+    truth with BLAS products, so they are identical for a given numpy and
+    BLAS build and may differ in the last bit between builds.
     """
     if r < 1 or r >= n:
         raise ValueError(f"need 1 <= r < n, got r = {r}, n = {n}")

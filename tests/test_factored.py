@@ -1,7 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from matcomplete import FactoredMatrix, combine, frobenius_distance, project_omega, scale
+from matcomplete import (
+    FactoredMatrix,
+    ObservedMatrix,
+    combine,
+    frobenius_distance,
+    gen_synthetic,
+    project_entries,
+    project_omega,
+    scale,
+)
 
 from conftest import full_observed, random_factored, random_observed
 
@@ -66,6 +77,85 @@ def test_project_matches_dense_oracle(rng):
     expected = dense[obs.rows, obs.cols]
     got = project_omega(f, obs)
     assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+# (m, n, k, fraction observed or 0 for a single entry, rows left empty); one
+# gather tile holds 32768 // n rows, so n picks how the rows split into tiles
+TILED_CASES = {
+    "m-not-multiple-of-tile": (47, 3000, 4, 0.05, ()),
+    "empty-rows-and-tiles": (60, 3000, 3, 0.05, tuple(range(10, 35)) + (41, 59)),
+    "tall": (3000, 40, 5, 0.02, ()),
+    "wide": (20, 4000, 5, 0.05, ()),
+    "wider-than-one-tile": (3, 40000, 2, 0.001, (1,)),
+    "k-zero": (47, 3000, 0, 0.05, ()),
+    "single-entry": (30, 5000, 2, 0, ()),
+    "fully-observed": (40, 900, 3, 1.0, ()),
+}
+
+
+@pytest.mark.parametrize("case", TILED_CASES.values(), ids=TILED_CASES.keys())
+def test_project_tiles_match_dense_oracle(rng, case):
+    m, n, k, frac, empty_rows = case
+    f = random_factored(rng, m, n, k)
+    flat = np.flatnonzero(rng.random(m * n) < frac) if frac else rng.choice(m * n, size=1)
+    rows, cols = np.divmod(flat, n)
+    keep = ~np.isin(rows, empty_rows)
+    obs = ObservedMatrix(m, n, rows[keep], cols[keep], np.zeros(int(keep.sum())))
+    expected = ((f.u * f.sigma) @ f.v.T)[obs.rows, obs.cols]
+    got = project_omega(f, obs)
+    assert got.shape == (obs.nnz,)
+    assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(expected).max(initial=0.0))
+
+
+def test_project_entries_is_order_invariant(rng):
+    # entries in any order give the same bits as in row order
+    m, n = 45, 3000
+    f = random_factored(rng, m, n, 4)
+    flat = np.sort(rng.choice(m * n, size=4000, replace=False))
+    rows, cols = np.divmod(flat, n)
+    base = project_entries(f, rows, cols)
+    for _ in range(3):
+        p = rng.permutation(rows.size)
+        assert np.array_equal(project_entries(f, rows[p], cols[p]), base[p])
+    # repeated pairs are served too
+    twice = project_entries(f, np.concatenate((rows, rows[::-1])), np.concatenate((cols, cols[::-1])))
+    assert np.array_equal(twice, np.concatenate((base, base[::-1])))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, match",
+    [
+        ([0, -1], [1, 2], "row index -1 at position 1"),
+        ([0, 6], [1, 2], "row index 6 at position 1"),
+        ([0, 1], [-3, 2], "column index -3 at position 0"),
+        ([0, 1], [1, 4], "column index 4 at position 1"),
+        ([[0, 1]], [[1, 2]], "1-d"),
+        ([0, 1, 2], [1, 2], "equal length"),
+        ([0.0, 1.0], [1, 2], "integers"),
+    ],
+    ids=["negative-row", "row-past-end", "negative-column", "column-past-end",
+         "not-1d", "length-mismatch", "float-indices"],
+)
+def test_project_entries_rejects_bad_indices(rng, rows, cols, match):
+    f = random_factored(rng, 6, 4, 2)
+    with pytest.raises(ValueError, match=match):
+        project_entries(f, np.array(rows), np.array(cols))
+    with pytest.raises(ValueError, match=match):
+        project_entries(FactoredMatrix.zero(6, 4), np.array(rows), np.array(cols))
+
+
+def test_project_memory_stays_near_output_size():
+    # a 600k-entry gather at k=10 keeps only tile-sized temporaries beside
+    # its 4.8 MB output
+    inst = gen_synthetic(1000, 10, 0.4, 0)
+    tracemalloc.start()
+    try:
+        out = project_omega(inst.ground_truth, inst.obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * 600_000
+    assert peak <= out.nbytes + 3_000_000, f"gather peak {peak / 1e6:.1f} MB"
 
 
 def test_project_is_linear(rng):

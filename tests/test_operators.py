@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matcomplete import FactoredMatrix, SpLrOperator, assemble_iterate_operator
+from matcomplete import FactoredMatrix, ObservedMatrix, SpLrOperator, assemble_iterate_operator, project_omega
 
 from conftest import full_observed, random_factored, random_observed
 
@@ -65,6 +65,37 @@ def test_residual_consistency_check(rng):
     doctored = SpLrOperator(obs, z, op.residual + 1e-6)
     with pytest.raises(ValueError, match="stale residual"):
         doctored.check_residual()
+
+
+def _sparse_omega(rng, m, n, frac, empty_rows, empty_cols):
+    """Random omega of an m-by-n matrix with the given rows and columns unobserved."""
+    rows, cols = np.divmod(np.flatnonzero(rng.random(m * n) < frac), n)
+    keep = ~np.isin(rows, empty_rows) & ~np.isin(cols, empty_cols)
+    return ObservedMatrix(m, n, rows[keep], cols[keep], rng.standard_normal(int(keep.sum())))
+
+
+@pytest.mark.parametrize("m, n", [(17, 9), (9, 17), (40, 3), (3, 12)])
+def test_rmatvec_matches_dense_transpose(rng, m, n):
+    # on its own omega and on omegas shared through _from_sorted (the svt
+    # dual and the fpc blend)
+    obs = _sparse_omega(rng, m, n, 0.4, empty_rows=[0, m - 1], empty_cols=[1, n // 2])
+    z = random_factored(rng, m, n, min(3, m, n))
+    dual = ObservedMatrix._from_sorted(obs, rng.standard_normal(obs.nnz))
+    misfit = obs.values - project_omega(z, obs)
+    blended = ObservedMatrix._from_sorted(obs, obs.values - 0.5 * misfit)
+    ops = [
+        assemble_iterate_operator(obs, z),
+        assemble_iterate_operator(dual, FactoredMatrix.zero(m, n)),
+        SpLrOperator(blended, z, 0.5 * misfit),
+    ]
+    for op in ops:
+        dense = op.dense()
+        for _ in range(3):
+            y = rng.standard_normal(m)
+            expected = dense.T @ y
+            assert np.abs(op.rmatvec(y) - expected).max() <= 1e-12 * max(1.0, np.abs(dense).max()) * np.abs(y).sum()
+            assert np.array_equal(op.rmatvec(y), op.rmatvec(y))
+        op.check_residual()
 
 
 def test_vector_length_validated(rng):
