@@ -21,13 +21,7 @@ from .data import (
 from .factored import FactoredMatrix, combine, frobenius_distance, project_entries, project_omega, scale
 from .observed import ObservedMatrix
 from .operators import SpLrOperator, assemble_iterate_operator
-from .shrinkage import (
-    fejer_slack,
-    fixed_rank_step,
-    make_spurious_fixed_point,
-    prox_nuclear,
-    soft_threshold,
-)
+from .shrinkage import fejer_slack, fixed_rank_step, make_spurious_fixed_point, soft_threshold
 from .solvers import (
     BUDGET_EXHAUSTED,
     CONVERGED,
@@ -85,7 +79,6 @@ __all__ = [
     "phase_two",
     "project_entries",
     "project_omega",
-    "prox_nuclear",
     "rer",
     "rmse",
     "save_synthetic",

@@ -20,7 +20,7 @@ def soft_threshold(f: FactoredMatrix, tau: float) -> FactoredMatrix:
     decomposition can move a value that equals the threshold by a few ulps,
     and keeping such dust would misreport the rank.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
     if tau == 0.0 or f.k == 0:
         return f
@@ -29,15 +29,6 @@ def soft_threshold(f: FactoredMatrix, tau: float) -> FactoredMatrix:
     if not keep.any():
         return FactoredMatrix.zero(*f.shape)
     return FactoredMatrix(f.u[:, keep], shifted[keep], f.v[:, keep])
-
-
-def prox_nuclear(f: FactoredMatrix, lam: float, t: float) -> FactoredMatrix:
-    """Proximal map of ``lam * nuclear_norm`` with step ``t``: shrink by lam*t."""
-    if lam <= 0:
-        raise ValueError(f"regularization weight must be positive, got {lam}")
-    if t <= 0:
-        raise ValueError(f"step must be positive, got {t}")
-    return soft_threshold(f, lam * t)
 
 
 def fixed_rank_step(
@@ -117,7 +108,7 @@ def make_spurious_fixed_point(
     -------
     (x, gradient) : the factored iterate and the dense injected gradient.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     p = min(m, n)
     if r < 1 or r + 1 > p:

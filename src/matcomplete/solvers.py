@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .factored import FactoredMatrix, combine, frobenius_distance, project_omega
 from .observed import ObservedMatrix
-from .operators import SpLrOperator, assemble_iterate_operator
+# assemble_iterate_operator is not called here; it stays bound in this module
+# because perfbench/spans.py traces it by rebinding solvers.assemble_iterate_operator
+from .operators import SpLrOperator, assemble_iterate_operator  # noqa: F401
 from .shrinkage import fejer_slack, soft_threshold
 from .svd import DEFAULT_TOL, truncated_svd
 
@@ -30,8 +32,8 @@ _STALL_RUNS = 3
 class SolverConfig:
     """All tolerances, budgets and parameters for the solvers.
 
-    ``tau_svt``, ``step_svt`` and ``lam`` may be None, meaning "derive from
-    the instance" (SVT defaults) or "take from the warm start" (lam).
+    ``tau_svt`` and ``step_svt`` may be None, meaning "derive from the
+    instance" (the SVT defaults).
     """
 
     r: int
@@ -45,7 +47,6 @@ class SolverConfig:
     beta: float = 2.0
     tau_svt: float | None = None
     step_svt: float | None = None
-    lam: float | None = None
     fpc_decay: float = 0.25
     fpc_floor: float = 0.01
     rank_bump: int = 5
@@ -54,54 +55,34 @@ class SolverConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("target rank must be at least 1")
-        for name in ("eps_rho", "eps_1", "eps_2", "eps_3", "eps_lambda", "svd_tol"):
-            if getattr(self, name) <= 0:
+        for name in ("eps_rho", "eps_1", "eps_2", "eps_3", "eps_lambda", "svd_tol", "fpc_floor"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.w < 1 or self.it_max < 1:
             raise ValueError("iteration budgets must be at least 1")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("momentum parameter beta must be positive")
         if self.rank_bump < 1:
             raise ValueError("rank_bump must be at least 1")
         if not 0 < self.fpc_decay < 1:
             raise ValueError("fpc_decay must lie in (0, 1)")
-        if self.fpc_floor <= 0:
-            raise ValueError("fpc_floor must be positive")
-        for name in ("tau_svt", "step_svt", "lam"):
+        for name in ("tau_svt", "step_svt"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
+            if val is not None and not val > 0:
                 raise ValueError(f"{name} must be positive when given")
 
-    _TEXT_KEYS = (
-        ("r", "r"),
-        ("eps_rho", "eps_rho"),
-        ("eps_1", "eps_1"),
-        ("eps_2", "eps_2"),
-        ("eps_3", "eps_3"),
-        ("eps_lambda", "eps_lambda"),
-        ("w", "w"),
-        ("it_max", "it_max"),
-        ("beta", "beta"),
-        ("tau_svt", "tau_svt"),
-        ("step_svt", "step_svt"),
-        ("lambda", "lam"),
-        ("fpc_decay", "fpc_decay"),
-        ("fpc_floor", "fpc_floor"),
-        ("rank_bump", "rank_bump"),
-    )
-
     def to_text(self) -> str:
-        """Flat ``key = value`` serialization; None renders as ``auto``."""
+        """Flat ``key = value`` serialization, one line per field; None
+        renders as ``auto``."""
         lines = []
-        for key, attr in self._TEXT_KEYS:
-            val = getattr(self, attr)
-            lines.append(f"{key} = {'auto' if val is None else repr(val)}")
+        for fld in fields(self):
+            val = getattr(self, fld.name)
+            lines.append(f"{fld.name} = {'auto' if val is None else repr(val)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "SolverConfig":
-        key_to_attr = dict(cls._TEXT_KEYS)
-        ints = {"r", "w", "it_max", "rank_bump"}
+        types = {fld.name: int if fld.type == "int" else float for fld in fields(cls)}
         kwargs = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
@@ -110,14 +91,9 @@ class SolverConfig:
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
             key, _, val = (t.strip() for t in line.partition("="))
-            if key not in key_to_attr:
+            if key not in types:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
-            if val == "auto":
-                kwargs[key_to_attr[key]] = None
-            elif key in ints:
-                kwargs[key_to_attr[key]] = int(val)
-            else:
-                kwargs[key_to_attr[key]] = float(val)
+            kwargs[key] = None if val == "auto" else types[key](val)
         if "r" not in kwargs:
             raise ValueError("missing required key 'r'")
         return cls(**kwargs)
@@ -173,10 +149,13 @@ class SolveResult:
 
     x: FactoredMatrix
     iterations: int
-    recovered_rank: int
     status: str
     trace: SolveTrace
     phase_split: tuple[int, int] | None = None
+
+    @property
+    def recovered_rank(self) -> int:
+        return self.x.rank
 
 
 @dataclass
@@ -195,14 +174,12 @@ class PhaseOneResult:
 class _StallDetector:
     """Flags three consecutive iterate changes below the freeze level."""
 
-    def __init__(self, level: float = _STALL_LEVEL, runs: int = _STALL_RUNS):
-        self.level = level
-        self.runs = runs
+    def __init__(self):
         self.count = 0
 
     def update(self, change: float) -> bool:
-        self.count = self.count + 1 if change < self.level else 0
-        return self.count >= self.runs
+        self.count = self.count + 1 if change < _STALL_LEVEL else 0
+        return self.count >= _STALL_RUNS
 
 
 def momentum_coefficient(step: int, beta: float) -> float:
@@ -213,7 +190,7 @@ def momentum_coefficient(step: int, beta: float) -> float:
 def objective(x: FactoredMatrix, obs: ObservedMatrix, lam: float) -> float:
     """Regularized data-fit value: half the squared omega-residual plus
     lam times the nuclear norm."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     return _objective_value(_misfit(x, obs), x, lam)
 
@@ -226,6 +203,16 @@ def _ratio(num: float, den: float) -> float:
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den
+
+
+def _data_norm(obs: ObservedMatrix) -> float:
+    """Frobenius norm of the data, which every solver's ratios divide by."""
+    with np.errstate(over="ignore"):
+        norm = obs.norm()
+    if not math.isfinite(norm):
+        raise ValueError("the Frobenius norm of the observed values overflows; "
+                         "rescale the data (divide it by its largest magnitude)")
+    return norm
 
 
 def _misfit(x: FactoredMatrix, obs: ObservedMatrix) -> np.ndarray:
@@ -251,14 +238,17 @@ def _momentum_operator(obs, theta, x, misfit, x_prev, misfit_prev) -> SpLrOperat
     return SpLrOperator(obs, z, misfit_prev)
 
 
-def _svd_exceeding(op, threshold, r_est, bump, svd_tol):
-    """Enough leading triplets that everything left out lies below threshold.
+def _shrink_at_level(op, level, r_est, bump, svd_tol):
+    """Shrink the operator's matrix by ``level``: ``(S_level(op), sigma_beyond)``.
 
-    Starts by asking for ``r_est + 1`` triplets and grows the request by
-    ``bump`` (capped at min(m, n) - 1) until the last computed singular value
-    drops below ``threshold``, the spectrum is numerically exhausted, or the
-    full decomposition is reached.  The increment doubles on repeated growth
-    within one call so a badly cold estimate costs O(log) recomputations.
+    Computes enough leading triplets that everything left out lies below
+    ``level``: starts by asking for ``r_est + 1`` triplets and grows the
+    request by ``bump`` (capped at min(m, n) - 1) until the last computed
+    singular value drops below ``level``, the spectrum is numerically
+    exhausted, or the full decomposition is reached.  The increment doubles
+    on repeated growth within one call so a badly cold estimate costs O(log)
+    recomputations.  ``sigma_beyond`` is that last value when it lies below
+    ``level`` (the largest value shrunk to zero), else NaN.
     """
     p = min(op.shape)
     cap = p - 1
@@ -268,12 +258,12 @@ def _svd_exceeding(op, threshold, r_est, bump, svd_tol):
         kk = min(r_try + 1, p)
         f = truncated_svd(op, kk, tol=svd_tol)
         s_last = f.sigma[-1]
-        if kk == p or s_last < threshold or s_last <= f.sigma[0] * 1e-15:
-            return f
-        if r_try >= cap:
-            return f
+        if kk == p or s_last < level or s_last <= f.sigma[0] * 1e-15 or r_try >= cap:
+            break
         r_try = min(r_try + grow, cap)
         grow *= 2
+    sigma_beyond = s_last if s_last < level else math.nan
+    return soft_threshold(f, level), sigma_beyond
 
 
 def phase_one(
@@ -308,12 +298,12 @@ def phase_one(
     """
     if r < 1:
         raise ValueError("target rank must be at least 1")
-    if eps_rho <= 0 or w < 1 or beta <= 0:
+    if not eps_rho > 0 or w < 1 or not beta > 0:
         raise ValueError("need eps_rho > 0, w >= 1, beta > 0")
     m, n = obs.shape
     p = min(m, n)
     trace = trace if trace is not None else SolveTrace()
-    obs_norm = obs.norm()
+    obs_norm = _data_norm(obs)
     z = FactoredMatrix.zero(m, n)
     x_prev = z
     misfit_prev = obs.values
@@ -371,7 +361,6 @@ def phase_two(
     svd_tol: float = DEFAULT_TOL,
     momentum: bool = True,
     trace: SolveTrace | None = None,
-    iteration_offset: int = 0,
     phase: int = 2,
 ) -> SolveResult:
     """Accelerated proximal iteration for the fixed-lam regularized problem.
@@ -383,16 +372,18 @@ def phase_two(
     the smallest computed singular value still exceeds ``lam``, and the next
     estimate is the number of positive shifted values.  With ``momentum``
     false the extrapolation weight is pinned to zero, which recovers the
-    plain fixed-point iteration.
+    plain fixed-point iteration.  Records are numbered after those already in
+    ``trace``.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
-    if eps_lambda <= 0 or it_max < 1 or r < 1:
-        raise ValueError("need eps_lambda > 0, it_max >= 1, r >= 1")
+    if not eps_lambda > 0 or it_max < 1 or r < 1 or rank_bump < 1:
+        raise ValueError("need eps_lambda > 0, it_max >= 1, r >= 1, rank_bump >= 1")
     if x0.shape != obs.shape:
         raise ValueError(f"shape mismatch: start {x0.shape} vs observed {obs.shape}")
     trace = trace if trace is not None else SolveTrace()
-    obs_norm = obs.norm()
+    first = len(trace)
+    obs_norm = _data_norm(obs)
     x_prev = x0
     misfit_prev = _misfit(x0, obs)
     f_prev = _objective_value(misfit_prev, x0, lam)
@@ -407,10 +398,8 @@ def phase_two(
 
     for k in range(1, it_max + 1):
         iterations = k
-        f = _svd_exceeding(op, lam, r_est, rank_bump, svd_tol)
+        x_k, sigma_beyond = _shrink_at_level(op, lam, r_est, rank_bump, svd_tol)
         del op
-        sigma_beyond = f.sigma[-1] if f.sigma.size and f.sigma[-1] < lam else math.nan
-        x_k = soft_threshold(f, lam)
         r_est = x_k.rank
         misfit = _misfit(x_k, obs)
         f_k = _objective_value(misfit, x_k, lam)
@@ -418,7 +407,7 @@ def phase_two(
         change = _ratio(dist, x_prev.norm())
         crit = min(_ratio(abs(f_prev - f_k), f_prev), change)
         trace.append(TraceRecord(
-            iteration_offset + k, phase, sigma_beyond, f_k,
+            first + k, phase, sigma_beyond, f_k,
             _ratio(float(np.linalg.norm(misfit)), obs_norm), change,
             x_k.rank, time.perf_counter() - t0,
         ))
@@ -428,7 +417,7 @@ def phase_two(
             status = CONVERGED
             x_final = x_k
             break
-        if stall.update(_ratio(dist, max(1.0, x_prev.norm()))):
+        if stall.update(change):
             status = STALLED
             x_final = x_k
             break
@@ -440,7 +429,7 @@ def phase_two(
     else:
         x_final = best_x
 
-    return SolveResult(x_final, iterations, x_final.rank, status, trace)
+    return SolveResult(x_final, iterations, status, trace)
 
 
 def two_phase(
@@ -454,25 +443,24 @@ def two_phase(
     becomes the regularization weight and its momentum iterate the starting
     point of the accelerated second phase.  Reported iterations are the sum
     over both phases.  If the warm start already drove the (r+1)-th singular
-    value to numerical zero the filled matrix has rank at most r and the last
-    warm-start iterate is returned as converged.
+    value to numerical zero (1e-12 times the leading one) the filled matrix
+    has rank at most r and the last warm-start iterate is returned as
+    converged.
     """
     trace = SolveTrace()
     p1 = phase_one(
         obs, config.r, config.eps_rho, config.w, config.beta,
         config.svd_tol, ground_truth, trace,
     )
-    if p1.rho <= 1e-12 * max(p1.sigma_top, 1.0):
-        x = p1.x_last
-        return SolveResult(x, p1.iterations, x.rank, CONVERGED, trace,
+    if p1.rho <= 1e-12 * p1.sigma_top:
+        return SolveResult(p1.x_last, p1.iterations, CONVERGED, trace,
                            phase_split=(p1.iterations, 0))
     p2 = phase_two(
         obs, config.r, p1.rho, p1.z, config.eps_lambda, config.it_max,
         config.rank_bump, config.svd_tol, momentum=True, trace=trace,
-        iteration_offset=p1.iterations, phase=2,
     )
     total = p1.iterations + p2.iterations
-    return SolveResult(p2.x, total, p2.recovered_rank, p2.status, trace,
+    return SolveResult(p2.x, total, p2.status, trace,
                        phase_split=(p1.iterations, p2.iterations))
 
 
@@ -492,10 +480,10 @@ def frsi(
     residual is the previous iterate's and the change spans the pair, so the
     test first fires one step after the residual criterion is met.
     """
-    if r < 1 or eps_1 <= 0 or it_max < 1:
+    if r < 1 or not eps_1 > 0 or it_max < 1:
         raise ValueError("need r >= 1, eps_1 > 0 and it_max >= 1")
     trace = SolveTrace()
-    obs_norm = obs.norm()
+    obs_norm = _data_norm(obs)
     p = min(obs.shape)
     x = FactoredMatrix.zero(*obs.shape)
     misfit = obs.values
@@ -520,7 +508,7 @@ def frsi(
             slack = fejer_slack(x, x_next, ground_truth, r, rho)
         trace.append(TraceRecord(k, 1, rho, math.nan, resid, change,
                                  x_next.rank, time.perf_counter() - t0, slack))
-        frozen = stall.update(_ratio(dist, max(1.0, x.norm())))
+        frozen = stall.update(change)
         x = x_next
         if min(resid_prev, change) <= eps_1:
             status = CONVERGED
@@ -530,7 +518,7 @@ def frsi(
             break
         resid_prev = resid
 
-    return SolveResult(x, iterations, x.rank, status, trace)
+    return SolveResult(x, iterations, status, trace)
 
 
 def svt(
@@ -556,13 +544,13 @@ def svt(
         tau = 5.0 * n if m == n else 8.0 * math.sqrt(m * n)
     if step is None:
         step = 1.2 * m * n / obs.nnz if obs.nnz else 1.99
-    if tau <= 0 or step <= 0:
+    if not tau > 0 or not step > 0:
         raise ValueError("tau and step must be positive")
-    if eps_2 <= 0 or it_max < 1:
-        raise ValueError("need eps_2 > 0 and it_max >= 1")
+    if not eps_2 > 0 or it_max < 1 or rank_bump < 1:
+        raise ValueError("need eps_2 > 0, it_max >= 1 and rank_bump >= 1")
 
     trace = SolveTrace()
-    obs_norm = obs.norm()
+    obs_norm = _data_norm(obs)
     zero = FactoredMatrix.zero(m, n)
     y = np.zeros(obs.nnz)
     x = zero
@@ -574,22 +562,19 @@ def svt(
 
     for k in range(1, it_max + 1):
         iterations = k
-        dual = ObservedMatrix._from_sorted(obs, y)
-        op = assemble_iterate_operator(dual, zero)
-        f = _svd_exceeding(op, tau, r_est, rank_bump, svd_tol)
-        sigma_beyond = f.sigma[-1] if f.sigma.size and f.sigma[-1] < tau else math.nan
-        x_next = soft_threshold(f, tau)
+        # the sparse dual itself, filled in at the zero iterate
+        op = SpLrOperator(ObservedMatrix._from_sorted(obs, y), zero, y)
+        x_next, sigma_beyond = _shrink_at_level(op, tau, r_est, rank_bump, svd_tol)
         r_est = x_next.rank
         misfit = _misfit(x_next, obs)
         resid = _ratio(float(np.linalg.norm(misfit)), obs_norm)
-        dist = frobenius_distance(x_next, x)
-        trace.append(TraceRecord(k, 1, sigma_beyond, math.nan, resid,
-                                 _ratio(dist, x.norm()), x_next.rank,
-                                 time.perf_counter() - t0))
+        change = _ratio(frobenius_distance(x_next, x), x.norm())
+        trace.append(TraceRecord(k, 1, sigma_beyond, math.nan, resid, change,
+                                 x_next.rank, time.perf_counter() - t0))
         # the dual keeps moving while x sits at zero during the ramp-up, so a
         # freeze requires both the primal and the dual update to be tiny
         dual_move = step * float(np.linalg.norm(misfit)) / max(1.0, float(np.linalg.norm(y)))
-        frozen = stall.update(max(_ratio(dist, max(1.0, x.norm())), dual_move))
+        frozen = stall.update(max(change, dual_move))
         x = x_next
         if resid <= eps_2:
             status = CONVERGED
@@ -599,7 +584,7 @@ def svt(
             break
         y = y + step * misfit
 
-    return SolveResult(x, iterations, x.rank, status, trace)
+    return SolveResult(x, iterations, status, trace)
 
 
 def fpc(
@@ -626,19 +611,19 @@ def fpc(
     """
     if not 0 < decay < 1:
         raise ValueError("decay must lie in (0, 1)")
-    if floor <= 0:
+    if not floor > 0:
         raise ValueError("floor must be positive")
-    if step <= 0 or eps_3 <= 0 or it_max < 1 or inner_max < 1:
-        raise ValueError("need positive step, eps_3 and budgets")
+    if not step > 0 or not eps_3 > 0 or it_max < 1 or inner_max < 1 or rank_bump < 1:
+        raise ValueError("need positive step, eps_3, budgets and rank_bump")
     m, n = obs.shape
+    obs_norm = _data_norm(obs)
     if lambda0 is None:
         sparse_op = SpLrOperator(obs, FactoredMatrix.zero(m, n), obs.values)
         lambda0 = float(truncated_svd(sparse_op, 1, tol=svd_tol).sigma[0])
-    if lambda0 < 0:
+    if not lambda0 >= 0:
         raise ValueError("lambda0 must be nonnegative")
 
     trace = SolveTrace()
-    obs_norm = obs.norm()
     x = FactoredMatrix.zero(m, n)
     misfit = obs.values
     lam = lambda0
@@ -648,20 +633,15 @@ def fpc(
     t0 = time.perf_counter()
 
     while total < it_max:
-        inner_done = False
-        for _ in range(inner_max):
-            if total >= it_max:
-                break
+        for _ in range(min(inner_max, it_max - total)):
             total += 1
             # x filled in with the data blended toward it, a - (1 - step) * misfit,
             # whose residual on omega is step * misfit
             blended = ObservedMatrix._from_sorted(obs, obs.values - (1.0 - step) * misfit)
             op = SpLrOperator(blended, x, step * misfit)
             threshold = lam * step
-            f = _svd_exceeding(op, threshold, r_est, rank_bump, svd_tol)
+            x_next, sigma_beyond = _shrink_at_level(op, threshold, r_est, rank_bump, svd_tol)
             del op, blended
-            sigma_beyond = f.sigma[-1] if f.sigma.size and f.sigma[-1] < threshold else math.nan
-            x_next = soft_threshold(f, threshold)
             r_est = max(x_next.rank, 1)
             misfit = _misfit(x_next, obs)
             dist = frobenius_distance(x_next, x)
@@ -671,14 +651,14 @@ def fpc(
                                      x_next.rank, time.perf_counter() - t0))
             x = x_next
             if change <= eps_3:
-                inner_done = True
                 break
-        if inner_done and lam <= floor:
+        # the inner loop ended on its stop test, not on a budget
+        if change <= eps_3 and lam <= floor:
             status = CONVERGED
             break
         lam = max(decay * lam, floor)
 
-    return SolveResult(x, total, x.rank, status, trace)
+    return SolveResult(x, total, status, trace)
 
 
 def soft_impute(

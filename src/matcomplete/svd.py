@@ -114,7 +114,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     p = min(m, n)
     if not 1 <= k <= p:
         raise ValueError(f"requested {k} triplets from a {m}x{n} operator")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if max_steps is None:
         max_steps = 10 * k + 100

@@ -7,7 +7,6 @@ from matcomplete import (
     fejer_slack,
     fixed_rank_step,
     make_spurious_fixed_point,
-    prox_nuclear,
     soft_threshold,
 )
 
@@ -48,6 +47,8 @@ def test_direct_shift():
 def test_negative_threshold_rejected(rng):
     with pytest.raises(ValueError, match="nonnegative"):
         soft_threshold(random_factored(rng, 4, 4, 2), -0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        soft_threshold(random_factored(rng, 4, 4, 2), float("nan"))
 
 
 def test_nonexpansive_on_random_pairs(rng):
@@ -79,28 +80,20 @@ def test_factored_soft_threshold_matches_dense_oracle(rng):
         assert np.allclose(got.dense(), dense_soft_threshold(f.dense(), tau), atol=1e-10)
 
 
-# --- prox_nuclear ---
+# --- soft_threshold as the proximal map of lam * nuclear_norm with step t ---
 
 
 def test_prox_tiny_weight_is_identity(rng):
     f = random_factored(rng, 6, 6, 3)
-    out = prox_nuclear(f, 1e-300, 1.0)
+    out = soft_threshold(f, 1e-300)
     assert np.allclose(out.dense(), f.dense(), atol=1e-13)
 
 
 def test_prox_direct_formula(rng):
     f = random_factored(rng, 5, 5, 2)
     f = FactoredMatrix(f.u, np.array([4.0, 2.0]), f.v)
-    out = prox_nuclear(f, 1.0, 1.0)
+    out = soft_threshold(f, 1.0)
     assert out.sigma.tolist() == [3.0, 1.0]
-
-
-def test_prox_parameter_validation(rng):
-    f = random_factored(rng, 4, 4, 2)
-    with pytest.raises(ValueError, match="positive"):
-        prox_nuclear(f, 0.0, 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        prox_nuclear(f, 1.0, -1.0)
 
 
 def test_prox_minimizes_against_random_perturbations(rng):
@@ -108,7 +101,7 @@ def test_prox_minimizes_against_random_perturbations(rng):
     lam, t = 0.7, 1.3
     f = random_factored(rng, 15, 12, 6)
     m_dense = f.dense()
-    x = prox_nuclear(f, lam, t).dense()
+    x = soft_threshold(f, lam * t).dense()
 
     def prox_objective(candidate):
         return (

@@ -18,6 +18,7 @@ from matcomplete import (
     phase_one,
     phase_two,
     rer,
+    scale,
     soft_impute,
     soft_threshold,
     svt,
@@ -90,14 +91,17 @@ def test_config_validation():
         SolverConfig(r=2, fpc_decay=1.5)
     with pytest.raises(ValueError):
         SolverConfig(r=2, tau_svt=-3.0)
+    for name in ("eps_rho", "beta", "fpc_floor", "svd_tol", "tau_svt"):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(r=2, **{name: math.nan})
 
 
 def test_config_text_round_trip(tmp_path):
-    cfg = SolverConfig(r=7, beta=13.0, lam=0.25, tau_svt=None, step_svt=1.99)
+    cfg = SolverConfig(r=7, beta=13.0, tau_svt=None, step_svt=1.99, svd_tol=1e-8)
     text = cfg.to_text()
     for key in ("r", "eps_rho", "eps_1", "eps_2", "eps_3", "eps_lambda", "w",
-                "it_max", "beta", "tau_svt", "step_svt", "lambda", "fpc_decay",
-                "fpc_floor", "rank_bump"):
+                "it_max", "beta", "tau_svt", "step_svt", "fpc_decay",
+                "fpc_floor", "rank_bump", "svd_tol"):
         assert any(line.startswith(f"{key} =") for line in text.splitlines()), key
     back = SolverConfig.from_text(text)
     assert back == cfg
@@ -211,6 +215,10 @@ def test_two_phase_recovers_well_observed_instance(rng):
     assert set(phases) == {1, 2}
     assert res.phase_split is not None
     assert res.phase_split[0] + res.phase_split[1] == res.iterations
+    # phase two numbers its records after phase one's
+    p1, p2 = res.phase_split
+    assert res.trace.column("iteration").tolist() == list(range(1, res.iterations + 1))
+    assert phases.tolist() == [1] * p1 + [2] * p2
 
 
 def test_two_phase_warm_start_wiring(rng):
@@ -432,7 +440,8 @@ def gather_count(monkeypatch):
     lambda obs: soft_impute(obs, 0.5, eps=1e-8, rank_start=3),
     lambda obs: frsi(obs, 3, eps_1=1e-6),
     lambda obs: fpc(obs, eps_3=1e-4, step=1.5),
-], ids=["two_phase", "phase_two", "soft_impute", "frsi", "fpc"])
+    lambda obs: svt(obs, it_max=300),
+], ids=["two_phase", "phase_two", "soft_impute", "frsi", "fpc", "svt"])
 def test_one_gather_per_iteration(gather_count, solve):
     inst = gen_synthetic(60, 3, 0.4, seed=4)
     res = solve(inst.obs)
@@ -468,3 +477,77 @@ def test_fpc_blended_residual_matches_fresh_gather(checked_residuals):
     inst = gen_synthetic(60, 3, 0.4, seed=4)
     res = fpc(inst.obs, eps_3=1e-4, step=1.5)
     assert len(checked_residuals) >= res.iterations + 1
+
+
+# --- scale invariance ---
+
+
+def scaled_observed(obs, s):
+    return ObservedMatrix(obs.m, obs.n, obs.rows, obs.cols, s * obs.values)
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e-20, 1e20, 1e150])
+@pytest.mark.parametrize("solve", [
+    lambda obs, s: two_phase(obs, SolverConfig(r=3)),
+    lambda obs, s: frsi(obs, 3),
+    lambda obs, s: soft_impute(obs, s),  # lam = 1 at unit scale
+], ids=["two_phase", "frsi", "soft_impute"])
+def test_solves_are_invariant_under_rescaling(solve, s):
+    inst = gen_synthetic(80, 3, 0.5, seed=1)
+    ref = solve(inst.obs, 1.0)
+    got = solve(scaled_observed(inst.obs, s), s)
+    assert (got.iterations, got.status, got.recovered_rank, got.phase_split) == (
+        ref.iterations, ref.status, ref.recovered_rank, ref.phase_split)
+    expected = rer(inst.ground_truth, ref.x)
+    assert rer(inst.ground_truth, scale(1.0 / s, got.x)) == pytest.approx(expected, rel=1e-9)
+
+
+# --- input checks at the solver boundary ---
+
+
+@pytest.fixture
+def no_svd(monkeypatch):
+    """Fails the test as soon as a solver reaches an SVD."""
+    def reached(*args, **kwargs):
+        raise AssertionError("invalid input reached truncated_svd")
+
+    monkeypatch.setattr(solvers, "truncated_svd", reached)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda obs: phase_two(obs, 2, 1.0, FactoredMatrix.zero(*obs.shape), rank_bump=0),
+    lambda obs: soft_impute(obs, 1.0, rank_bump=0),
+    lambda obs: svt(obs, rank_bump=0),
+    lambda obs: fpc(obs, rank_bump=0),
+    lambda obs: svt(obs, tau=math.nan),
+    lambda obs: svt(obs, step=math.nan),
+    lambda obs: svt(obs, eps_2=math.nan),
+    lambda obs: phase_two(obs, 2, math.nan, FactoredMatrix.zero(*obs.shape)),
+    lambda obs: soft_impute(obs, 1.0, eps=math.nan),
+    lambda obs: phase_one(obs, 2, eps_rho=math.nan),
+    lambda obs: phase_one(obs, 2, beta=math.nan),
+    lambda obs: frsi(obs, 2, eps_1=math.nan),
+    lambda obs: fpc(obs, lambda0=math.nan),
+    lambda obs: fpc(obs, floor=math.nan),
+    lambda obs: fpc(obs, step=math.nan),
+], ids=["phase_two-rank_bump", "soft_impute-rank_bump", "svt-rank_bump", "fpc-rank_bump",
+        "svt-tau", "svt-step", "svt-eps_2", "phase_two-lam", "soft_impute-eps",
+        "phase_one-eps_rho", "phase_one-beta", "frsi-eps_1", "fpc-lambda0", "fpc-floor",
+        "fpc-step"])
+def test_invalid_parameters_fail_before_any_svd(no_svd, solve):
+    obs = gen_synthetic(20, 2, 0.5, seed=2).obs
+    with pytest.raises(ValueError):
+        solve(obs)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda obs: two_phase(obs, SolverConfig(r=2)),
+    lambda obs: phase_two(obs, 2, 1.0, FactoredMatrix.zero(*obs.shape)),
+    lambda obs: frsi(obs, 2),
+    lambda obs: svt(obs),
+    lambda obs: fpc(obs),
+], ids=["two_phase", "phase_two", "frsi", "svt", "fpc"])
+def test_overflowing_data_norm_fails_before_any_svd(no_svd, solve):
+    obs = scaled_observed(gen_synthetic(20, 2, 0.5, seed=2).obs, 1e200)
+    with pytest.raises(ValueError, match="rescale"):
+        solve(obs)
