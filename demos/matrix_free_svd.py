@@ -29,7 +29,7 @@ def run_demo(n=300, r=8, p=0.7, seed=3, k=10):
           f"+ rank-{iterate.k} iterate")
 
     leading = truncated_svd(op, k)
-    oracle = dense_svd(op.dense(), max_dim=512)
+    oracle = dense_svd(op.dense())
 
     print(f"{'i':>3} {'lanczos':>14} {'dense oracle':>14} {'rel diff':>10}")
     for i in range(k):

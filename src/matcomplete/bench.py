@@ -53,15 +53,11 @@ def solve_method(method: str, obs, config: SolverConfig, ground_truth=None):
     if method == "two_phase":
         return two_phase(obs, config, ground_truth)
     if method == "frsi":
-        return frsi(obs, config.r, config.eps_1, config.it_max,
-                    config.svd_tol, ground_truth)
+        return frsi(obs, config.r, config.eps_1, config.it_max, ground_truth=ground_truth)
     if method == "svt":
-        return svt(obs, config.tau_svt, config.step_svt, config.eps_2,
-                   config.it_max, config.svd_tol, config.rank_bump)
+        return svt(obs, step=config.step_svt, eps_2=config.eps_2, it_max=config.it_max)
     if method == "fpc":
-        return fpc(obs, config.eps_3, config.it_max, decay=config.fpc_decay,
-                   floor=config.fpc_floor, svd_tol=config.svd_tol,
-                   rank_bump=config.rank_bump)
+        return fpc(obs, config.eps_3, config.it_max)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

@@ -98,20 +98,20 @@ def main(argv=None) -> int:
             return run_synth(
                 out_dir, args.n, args.r, args.p, seeds=args.seeds,
                 methods=args.methods, beta=float(args.beta) if args.beta else 2.0,
-                w=args.w or 500, it_max=args.it_max,
+                w=500 if args.w is None else args.w, it_max=args.it_max,
                 bundle=args.tol_bundle or "paper-synth", threads=args.threads,
             )
         if args.command == "beta-sweep":
             betas = _float_list(args.beta) if args.beta else [float(b) for b in range(2, 31)]
             return run_beta_sweep(
                 out_dir, args.n, args.r, args.p, betas,
-                w=args.w or 1000, eps_rho=args.eps_rho, seed=args.seed,
+                w=1000 if args.w is None else args.w, eps_rho=args.eps_rho, seed=args.seed,
             )
         if args.command == "movielens":
             return run_movielens(
                 out_dir, args.dataset, args.format, methods=args.methods,
                 ranks=args.r, beta=float(args.beta) if args.beta else 2.0,
-                w=args.w or 500, it_max=args.it_max,
+                w=500 if args.w is None else args.w, it_max=args.it_max,
                 bundle=args.tol_bundle or "paper-ml",
                 holdout=args.holdout, seed=args.seed,
             )
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
                 out_dir, args.method, n=args.n, r=args.r, p=args.p, seed=args.seed,
                 dataset=args.dataset, fmt=args.format, ground_truth=args.ground_truth,
                 beta=float(args.beta) if args.beta else 2.0,
-                w=args.w or 500, it_max=args.it_max,
+                w=500 if args.w is None else args.w, it_max=args.it_max,
                 bundle=args.tol_bundle or "paper-synth",
             )
     except (ValueError, FileNotFoundError) as exc:

@@ -53,17 +53,18 @@ class ObservedMatrix:
         self._install(rows, cols, values)
 
     def _install(self, rows, cols, values):
-        for a in (rows, cols, values):
-            a.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "values", values)
-        # CSR row-pointer structure, shared by every operator built on this omega
-        indptr = np.zeros(self.m + 1, dtype=np.int64)
+        # CSR structure, shared by every operator built on this omega; in int32
+        # when it fits, scipy takes it as is instead of scanning and copying it
+        fits = max(rows.size, self.m, self.n) <= np.iinfo(np.int32).max
+        index_dtype = np.int32 if fits else np.int64
+        indptr = np.zeros(self.m + 1, dtype=index_dtype)
         if rows.size:
             np.cumsum(np.bincount(rows, minlength=self.m), out=indptr[1:])
-        indptr.setflags(write=False)
-        object.__setattr__(self, "_indptr", indptr)
+        indices = cols.astype(index_dtype, copy=False)
+        arrays = dict(rows=rows, cols=cols, values=values, _indptr=indptr, _indices=indices)
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @classmethod
     def _from_sorted(cls, template: "ObservedMatrix", values: np.ndarray) -> "ObservedMatrix":
@@ -83,6 +84,7 @@ class ObservedMatrix:
         object.__setattr__(obj, "cols", template.cols)
         object.__setattr__(obj, "values", values)
         object.__setattr__(obj, "_indptr", template._indptr)
+        object.__setattr__(obj, "_indices", template._indices)
         return obj
 
     @property
@@ -107,7 +109,7 @@ class ObservedMatrix:
         values = np.asarray(values, dtype=np.float64)
         if values.shape != self.values.shape:
             raise ValueError("values must match the omega size")
-        return sparse.csr_matrix((values, self.cols, self._indptr), shape=self.shape)
+        return sparse.csr_matrix((values, self._indices, self._indptr), shape=self.shape)
 
     def to_sparse(self) -> sparse.csr_matrix:
         return self.sparse_with(self.values)
@@ -140,6 +142,8 @@ class ObservedMatrix:
                 m, n, nnz = (int(t) for t in header)
             except ValueError:
                 raise ValueError(f"{path}:1: malformed header {header!r}") from None
+            if nnz < 0:
+                raise ValueError(f"{path}:1: negative entry count {nnz}")
             rows = np.empty(nnz, dtype=np.int64)
             cols = np.empty(nnz, dtype=np.int64)
             values = np.empty(nnz, dtype=np.float64)
@@ -153,4 +157,8 @@ class ObservedMatrix:
                     values[k] = float(parts[2])
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: malformed entry {parts!r}") from None
+            for lineno, line in enumerate(fh, nnz + 2):
+                if line.strip():
+                    raise ValueError(f"{path}:{lineno}: more entries than the {nnz} "
+                                     "that the header declares")
         return cls(m, n, rows, cols, values)

@@ -7,7 +7,7 @@ import numpy as np
 from .factored import FactoredMatrix, frobenius_distance
 from .observed import ObservedMatrix
 from .operators import assemble_iterate_operator
-from .svd import DEFAULT_TOL, truncated_svd
+from .svd import truncated_svd
 
 
 def soft_threshold(f: FactoredMatrix, tau: float) -> FactoredMatrix:
@@ -35,7 +35,6 @@ def fixed_rank_step(
     x: FactoredMatrix,
     obs: ObservedMatrix,
     r: int,
-    svd_tol: float = DEFAULT_TOL,
 ) -> tuple[FactoredMatrix, float]:
     """One fixed-rank completion step: fill in, threshold at the (r+1)-th value.
 
@@ -54,7 +53,7 @@ def fixed_rank_step(
         raise ValueError(f"shape mismatch: iterate {x.shape} vs observed {obs.shape}")
     p = min(obs.shape)
     op = assemble_iterate_operator(obs, x)
-    f = truncated_svd(op, min(r + 1, p), tol=svd_tol)
+    f = truncated_svd(op, min(r + 1, p))
     rho = float(f.sigma[r]) if r < p else 0.0
     return soft_threshold(f, rho), rho
 

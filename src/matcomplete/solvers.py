@@ -15,7 +15,7 @@ from .observed import ObservedMatrix
 # because perfbench/spans.py traces it by rebinding solvers.assemble_iterate_operator
 from .operators import SpLrOperator, assemble_iterate_operator  # noqa: F401
 from .shrinkage import fejer_slack, soft_threshold
-from .svd import DEFAULT_TOL, truncated_svd
+from .svd import truncated_svd
 
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -27,13 +27,21 @@ STALLED = "stalled"
 _STALL_LEVEL = 1e-15
 _STALL_RUNS = 3
 
+# Rank regrowth step of _shrink_at_level, and the FPC path: each weight is
+# 0.25 times the last (down to the floor), with at most 100 passes per weight.
+_RANK_BUMP = 5
+_FPC_DECAY = 0.25
+_FPC_INNER_MAX = 100
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All tolerances, budgets and parameters for the solvers.
+    """Tolerances, budgets and parameters for the solvers.
 
-    ``tau_svt`` and ``step_svt`` may be None, meaning "derive from the
-    instance" (the SVT defaults).
+    ``step_svt`` may be None (``auto`` in a config file), meaning "derive
+    from the instance" (the SVT default).  The SVD tolerance, the rank
+    regrowth step, the FPC path and SVT's threshold are fixed; see
+    :func:`svt` and :func:`fpc`.
     """
 
     r: int
@@ -45,31 +53,18 @@ class SolverConfig:
     w: int = 500
     it_max: int = 500
     beta: float = 2.0
-    tau_svt: float | None = None
     step_svt: float | None = None
-    fpc_decay: float = 0.25
-    fpc_floor: float = 0.01
-    rank_bump: int = 5
-    svd_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("target rank must be at least 1")
-        for name in ("eps_rho", "eps_1", "eps_2", "eps_3", "eps_lambda", "svd_tol", "fpc_floor"):
+        # each message starts with the field's name, which from_text reads
+        for name in ("r", "w", "it_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("eps_rho", "eps_1", "eps_2", "eps_3", "eps_lambda", "beta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.w < 1 or self.it_max < 1:
-            raise ValueError("iteration budgets must be at least 1")
-        if not self.beta > 0:
-            raise ValueError("momentum parameter beta must be positive")
-        if self.rank_bump < 1:
-            raise ValueError("rank_bump must be at least 1")
-        if not 0 < self.fpc_decay < 1:
-            raise ValueError("fpc_decay must lie in (0, 1)")
-        for name in ("tau_svt", "step_svt"):
-            val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise ValueError(f"{name} must be positive when given")
+        if self.step_svt is not None and not self.step_svt > 0:
+            raise ValueError("step_svt must be positive when given")
 
     def to_text(self) -> str:
         """Flat ``key = value`` serialization, one line per field; None
@@ -82,8 +77,10 @@ class SolverConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "SolverConfig":
-        types = {fld.name: int if fld.type == "int" else float for fld in fields(cls)}
-        kwargs = {}
+        """Parse :meth:`to_text` output; ``auto`` is only for fields that may
+        be None, and a bad value is reported with its line and key."""
+        types = {fld.name: fld.type for fld in fields(cls)}
+        kwargs, linenos = {}, {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -93,10 +90,19 @@ class SolverConfig:
             key, _, val = (t.strip() for t in line.partition("="))
             if key not in types:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
-            kwargs[key] = None if val == "auto" else types[key](val)
+            linenos[key] = lineno
+            parse = int if types[key] == "int" else float
+            try:
+                kwargs[key] = None if val == "auto" and "None" in types[key] else parse(val)
+            except ValueError:
+                raise ValueError(f"line {lineno}: {key} must be {types[key]}, got {val!r}") from None
         if "r" not in kwargs:
             raise ValueError("missing required key 'r'")
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            key = str(exc).split()[0]
+            raise ValueError(f"line {linenos[key]}: {exc}") from None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
@@ -126,9 +132,6 @@ class TraceRecord:
 @dataclass
 class SolveTrace:
     records: list[TraceRecord] = field(default_factory=list)
-
-    COLUMNS = ("iteration", "phase", "rho", "f_lambda", "rel_residual",
-               "rel_change", "rank", "time_s", "fejer_slack")
 
     def append(self, record: TraceRecord) -> None:
         self.records.append(record)
@@ -238,12 +241,12 @@ def _momentum_operator(obs, theta, x, misfit, x_prev, misfit_prev) -> SpLrOperat
     return SpLrOperator(obs, z, misfit_prev)
 
 
-def _shrink_at_level(op, level, r_est, bump, svd_tol):
+def _shrink_at_level(op, level, r_est):
     """Shrink the operator's matrix by ``level``: ``(S_level(op), sigma_beyond)``.
 
     Computes enough leading triplets that everything left out lies below
     ``level``: starts by asking for ``r_est + 1`` triplets and grows the
-    request by ``bump`` (capped at min(m, n) - 1) until the last computed
+    request by ``_RANK_BUMP`` (capped at min(m, n) - 1) until the last computed
     singular value drops below ``level``, the spectrum is numerically
     exhausted, or the full decomposition is reached.  The increment doubles
     on repeated growth within one call so a badly cold estimate costs O(log)
@@ -253,10 +256,10 @@ def _shrink_at_level(op, level, r_est, bump, svd_tol):
     p = min(op.shape)
     cap = p - 1
     r_try = min(max(r_est, 0), cap)
-    grow = bump
+    grow = _RANK_BUMP
     while True:
         kk = min(r_try + 1, p)
-        f = truncated_svd(op, kk, tol=svd_tol)
+        f = truncated_svd(op, kk)
         s_last = f.sigma[-1]
         if kk == p or s_last < level or s_last <= f.sigma[0] * 1e-15 or r_try >= cap:
             break
@@ -272,7 +275,7 @@ def phase_one(
     eps_rho: float = 1e-4,
     w: int = 500,
     beta: float = 2.0,
-    svd_tol: float = DEFAULT_TOL,
+    *,
     ground_truth: FactoredMatrix | None = None,
     trace: SolveTrace | None = None,
 ) -> PhaseOneResult:
@@ -318,7 +321,7 @@ def phase_one(
 
     for j in range(1, w + 1):
         iterations = j
-        f = truncated_svd(op, min(r + 1, p), tol=svd_tol)
+        f = truncated_svd(op, min(r + 1, p))
         del op  # its residual copy would only add to the peak during the gather
         rho = float(f.sigma[r]) if r < p else 0.0
         sigma_top = float(f.sigma[0]) if f.k else 0.0
@@ -357,8 +360,7 @@ def phase_two(
     x0: FactoredMatrix,
     eps_lambda: float = 1e-6,
     it_max: int = 500,
-    rank_bump: int = 5,
-    svd_tol: float = DEFAULT_TOL,
+    *,
     momentum: bool = True,
     trace: SolveTrace | None = None,
     phase: int = 2,
@@ -368,7 +370,7 @@ def phase_two(
     Each pass shrinks the filled-in momentum iterate at ``lam`` and stops once
     ``min(|f(prev) - f(cur)| / f(prev), ||cur - prev||_F / ||prev||_F)``
     drops to ``eps_lambda``.  The truncation size follows an adaptive rank
-    estimate: starting from ``r``, the request grows by ``rank_bump`` whenever
+    estimate: starting from ``r``, the request grows by ``_RANK_BUMP`` whenever
     the smallest computed singular value still exceeds ``lam``, and the next
     estimate is the number of positive shifted values.  With ``momentum``
     false the extrapolation weight is pinned to zero, which recovers the
@@ -377,8 +379,8 @@ def phase_two(
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    if not eps_lambda > 0 or it_max < 1 or r < 1 or rank_bump < 1:
-        raise ValueError("need eps_lambda > 0, it_max >= 1, r >= 1, rank_bump >= 1")
+    if not eps_lambda > 0 or it_max < 1 or r < 1:
+        raise ValueError("need eps_lambda > 0, it_max >= 1 and r >= 1")
     if x0.shape != obs.shape:
         raise ValueError(f"shape mismatch: start {x0.shape} vs observed {obs.shape}")
     trace = trace if trace is not None else SolveTrace()
@@ -398,7 +400,7 @@ def phase_two(
 
     for k in range(1, it_max + 1):
         iterations = k
-        x_k, sigma_beyond = _shrink_at_level(op, lam, r_est, rank_bump, svd_tol)
+        x_k, sigma_beyond = _shrink_at_level(op, lam, r_est)
         del op
         r_est = x_k.rank
         misfit = _misfit(x_k, obs)
@@ -448,17 +450,12 @@ def two_phase(
     converged.
     """
     trace = SolveTrace()
-    p1 = phase_one(
-        obs, config.r, config.eps_rho, config.w, config.beta,
-        config.svd_tol, ground_truth, trace,
-    )
+    p1 = phase_one(obs, config.r, config.eps_rho, config.w, config.beta,
+                   ground_truth=ground_truth, trace=trace)
     if p1.rho <= 1e-12 * p1.sigma_top:
         return SolveResult(p1.x_last, p1.iterations, CONVERGED, trace,
                            phase_split=(p1.iterations, 0))
-    p2 = phase_two(
-        obs, config.r, p1.rho, p1.z, config.eps_lambda, config.it_max,
-        config.rank_bump, config.svd_tol, momentum=True, trace=trace,
-    )
+    p2 = phase_two(obs, config.r, p1.rho, p1.z, config.eps_lambda, config.it_max, trace=trace)
     total = p1.iterations + p2.iterations
     return SolveResult(p2.x, total, p2.status, trace,
                        phase_split=(p1.iterations, p2.iterations))
@@ -469,7 +466,7 @@ def frsi(
     r: int,
     eps_1: float = 1e-4,
     it_max: int = 500,
-    svd_tol: float = DEFAULT_TOL,
+    *,
     ground_truth: FactoredMatrix | None = None,
 ) -> SolveResult:
     """Plain fixed-rank iteration from zero.
@@ -496,7 +493,7 @@ def frsi(
     for k in range(1, it_max + 1):
         iterations = k
         # the fixed-rank step, on the misfit carried over from the last pass
-        f = truncated_svd(SpLrOperator(obs, x, misfit), min(r + 1, p), tol=svd_tol)
+        f = truncated_svd(SpLrOperator(obs, x, misfit), min(r + 1, p))
         rho = float(f.sigma[r]) if r < p else 0.0
         x_next = soft_threshold(f, rho)
         misfit = _misfit(x_next, obs)
@@ -523,31 +520,28 @@ def frsi(
 
 def svt(
     obs: ObservedMatrix,
-    tau: float | None = None,
+    *,
     step: float | None = None,
     eps_2: float = 1e-4,
     it_max: int = 500,
-    svd_tol: float = DEFAULT_TOL,
-    rank_bump: int = 5,
 ) -> SolveResult:
     """Singular value thresholding with a sparse dual iterate.
 
     The dual variable lives only on omega (it starts at zero and accumulates
     step-scaled residuals there), so each pass shrinks a purely sparse matrix
-    at the fixed threshold ``tau``.  Defaults follow common practice:
-    ``tau = 5n`` for square problems (``8 sqrt(mn)`` otherwise) and
-    ``step = 1.2 mn / nnz``; pass ``step=1.99`` for the conservative choice.
+    at the fixed threshold ``tau``, which follows common practice: ``tau =
+    5n`` for square problems and ``8 sqrt(mn)`` otherwise.  ``step`` defaults
+    to ``1.2 mn / nnz``; pass ``step=1.99`` for the conservative choice.
     Stops when the omega residual ratio reaches ``eps_2``.
     """
     m, n = obs.shape
-    if tau is None:
-        tau = 5.0 * n if m == n else 8.0 * math.sqrt(m * n)
+    tau = 5.0 * n if m == n else 8.0 * math.sqrt(m * n)
     if step is None:
         step = 1.2 * m * n / obs.nnz if obs.nnz else 1.99
-    if not tau > 0 or not step > 0:
-        raise ValueError("tau and step must be positive")
-    if not eps_2 > 0 or it_max < 1 or rank_bump < 1:
-        raise ValueError("need eps_2 > 0, it_max >= 1 and rank_bump >= 1")
+    if not step > 0:
+        raise ValueError("step must be positive")
+    if not eps_2 > 0 or it_max < 1:
+        raise ValueError("need eps_2 > 0 and it_max >= 1")
 
     trace = SolveTrace()
     obs_norm = _data_norm(obs)
@@ -564,7 +558,7 @@ def svt(
         iterations = k
         # the sparse dual itself, filled in at the zero iterate
         op = SpLrOperator(ObservedMatrix._from_sorted(obs, y), zero, y)
-        x_next, sigma_beyond = _shrink_at_level(op, tau, r_est, rank_bump, svd_tol)
+        x_next, sigma_beyond = _shrink_at_level(op, tau, r_est)
         r_est = x_next.rank
         misfit = _misfit(x_next, obs)
         resid = _ratio(float(np.linalg.norm(misfit)), obs_norm)
@@ -593,33 +587,28 @@ def fpc(
     it_max: int = 500,
     step: float = 1.99,
     lambda0: float | None = None,
-    decay: float = 0.25,
+    *,
     floor: float = 0.01,
-    inner_max: int = 100,
-    svd_tol: float = DEFAULT_TOL,
-    rank_bump: int = 5,
 ) -> SolveResult:
     """Fixed-point continuation over a decreasing regularization path.
 
     For each weight on the path (``lambda0`` defaulting to the spectral norm
-    of the sparse data, then ``max(decay * lam, floor)``), iterates the
+    of the sparse data, then ``max(0.25 * lam, floor)``), iterates the
     step-scaled shrinkage ``x <- S_{lam * step}(x + step * P_omega(a - x))``
-    until ``||x_new - x||_F / max(1, ||x||_F) <= eps_3`` or ``inner_max``
-    passes, warm-starting the next weight from the last iterate.  Terminates
-    once the floor weight has been solved, within a global ``it_max`` budget
-    over all inner iterations.
+    until ``||x_new - x||_F / max(1, ||x||_F) <= eps_3`` or 100 passes,
+    warm-starting the next weight from the last iterate.  Terminates once the
+    floor weight has been solved, within a global ``it_max`` budget over all
+    inner iterations.
     """
-    if not 0 < decay < 1:
-        raise ValueError("decay must lie in (0, 1)")
     if not floor > 0:
         raise ValueError("floor must be positive")
-    if not step > 0 or not eps_3 > 0 or it_max < 1 or inner_max < 1 or rank_bump < 1:
-        raise ValueError("need positive step, eps_3, budgets and rank_bump")
+    if not step > 0 or not eps_3 > 0 or it_max < 1:
+        raise ValueError("need positive step and eps_3, and it_max >= 1")
     m, n = obs.shape
     obs_norm = _data_norm(obs)
     if lambda0 is None:
         sparse_op = SpLrOperator(obs, FactoredMatrix.zero(m, n), obs.values)
-        lambda0 = float(truncated_svd(sparse_op, 1, tol=svd_tol).sigma[0])
+        lambda0 = float(truncated_svd(sparse_op, 1).sigma[0])
     if not lambda0 >= 0:
         raise ValueError("lambda0 must be nonnegative")
 
@@ -633,14 +622,14 @@ def fpc(
     t0 = time.perf_counter()
 
     while total < it_max:
-        for _ in range(min(inner_max, it_max - total)):
+        for _ in range(min(_FPC_INNER_MAX, it_max - total)):
             total += 1
             # x filled in with the data blended toward it, a - (1 - step) * misfit,
             # whose residual on omega is step * misfit
             blended = ObservedMatrix._from_sorted(obs, obs.values - (1.0 - step) * misfit)
             op = SpLrOperator(blended, x, step * misfit)
             threshold = lam * step
-            x_next, sigma_beyond = _shrink_at_level(op, threshold, r_est, rank_bump, svd_tol)
+            x_next, sigma_beyond = _shrink_at_level(op, threshold, r_est)
             del op, blended
             r_est = max(x_next.rank, 1)
             misfit = _misfit(x_next, obs)
@@ -656,7 +645,7 @@ def fpc(
         if change <= eps_3 and lam <= floor:
             status = CONVERGED
             break
-        lam = max(decay * lam, floor)
+        lam = max(_FPC_DECAY * lam, floor)
 
     return SolveResult(x, total, status, trace)
 
@@ -667,8 +656,6 @@ def soft_impute(
     eps: float = 1e-6,
     it_max: int = 500,
     rank_start: int = 1,
-    rank_bump: int = 5,
-    svd_tol: float = DEFAULT_TOL,
 ) -> SolveResult:
     """Unaccelerated fixed-lam shrinkage iteration from zero.
 
@@ -676,7 +663,5 @@ def soft_impute(
     zero (unit step on the smooth part, so the objective is nonincreasing).
     """
     x0 = FactoredMatrix.zero(*obs.shape)
-    return phase_two(
-        obs, rank_start, lam, x0, eps_lambda=eps, it_max=it_max,
-        rank_bump=rank_bump, svd_tol=svd_tol, momentum=False, phase=1,
-    )
+    return phase_two(obs, rank_start, lam, x0, eps_lambda=eps, it_max=it_max,
+                     momentum=False, phase=1)

@@ -35,16 +35,16 @@ class TruncatedSvdError(RuntimeError):
         self.converged = converged
 
 
-def dense_svd(a: np.ndarray, max_dim: int = 512) -> FactoredMatrix:
+def dense_svd(a: np.ndarray) -> FactoredMatrix:
     """Full SVD of a small dense matrix; the brute-force oracle for tests.
 
-    Guarded at ``min(m, n) <= max_dim`` to prevent misuse at scale.
+    Guarded at ``min(m, n) <= 512`` to prevent misuse at scale.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a 2-d array")
-    if min(a.shape) > max_dim:
-        raise ValueError(f"dense SVD limited to min(m, n) <= {max_dim}, got {a.shape}")
+    if min(a.shape) > 512:
+        raise ValueError(f"dense SVD limited to min(m, n) <= 512, got {a.shape}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return FactoredMatrix(u, s, vt.T)
 

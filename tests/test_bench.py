@@ -184,6 +184,17 @@ def test_cli_out_dir_env_default(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    (["synth", "--seeds", "1", "--methods", "frsi"], "w must be at least 1"),
+    (["beta-sweep", "--beta", "3.0"], "w >= 1"),
+], ids=["synth", "beta-sweep"])
+def test_cli_zero_warm_start_budget_is_an_error(tmp_path, capsys, command, message):
+    code = main(command + ["--n", "20", "--r", "2", "--p", "0.3", "--w", "0",
+                           "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_cli_trace(tmp_path):
     out = tmp_path / "tr"
     code = main(["trace", "--method", "frsi", "--n", "25", "--r", "2", "--p", "0.4",

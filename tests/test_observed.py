@@ -105,3 +105,19 @@ def test_load_reports_bad_line(tmp_path):
         ObservedMatrix.load(path)
     with pytest.raises(FileNotFoundError):
         ObservedMatrix.load(tmp_path / "missing.txt")
+
+
+def test_load_rejects_entries_beyond_header_count(tmp_path):
+    path = tmp_path / "extra.txt"
+    path.write_text("3 3 1\n0 0 1.0\n1 1 2.0\n2 2 3.0\n")
+    with pytest.raises(ValueError, match=r"extra\.txt:3: more entries"):
+        ObservedMatrix.load(path)
+    path.write_text("3 3 1\n0 0 1.0\n\n")  # a trailing blank line is fine
+    assert ObservedMatrix.load(path).nnz == 1
+
+
+def test_load_rejects_negative_count(tmp_path):
+    path = tmp_path / "neg.txt"
+    path.write_text("3 3 -1\n")
+    with pytest.raises(ValueError, match=r"neg\.txt:1: negative entry count"):
+        ObservedMatrix.load(path)

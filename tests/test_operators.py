@@ -98,6 +98,16 @@ def test_rmatvec_matches_dense_transpose(rng, m, n):
         op.check_residual()
 
 
+def test_operators_share_the_omegas_csr_indices(rng):
+    obs = random_observed(rng, 12, 9, 0.5)
+    dual = ObservedMatrix._from_sorted(obs, rng.standard_normal(obs.nnz))
+    for op in (assemble_iterate_operator(obs, random_factored(rng, 12, 9, 2)),
+               SpLrOperator(dual, FactoredMatrix.zero(12, 9), dual.values)):
+        assert np.shares_memory(op._sparse.indices, obs._indices)
+        assert np.shares_memory(op._sparse.indptr, obs._indptr)
+        assert np.array_equal(op._sparse.indices, obs.cols)
+
+
 def test_vector_length_validated(rng):
     obs = random_observed(rng, 5, 7, 0.4)
     op = assemble_iterate_operator(obs, FactoredMatrix.zero(5, 7))

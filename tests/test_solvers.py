@@ -88,21 +88,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(r=2, beta=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(r=2, fpc_decay=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(r=2, tau_svt=-3.0)
-    for name in ("eps_rho", "beta", "fpc_floor", "svd_tol", "tau_svt"):
+        SolverConfig(r=2, step_svt=-3.0)
+    for name in ("eps_rho", "beta", "step_svt"):
         with pytest.raises(ValueError, match=name):
             SolverConfig(r=2, **{name: math.nan})
 
 
 def test_config_text_round_trip(tmp_path):
-    cfg = SolverConfig(r=7, beta=13.0, tau_svt=None, step_svt=1.99, svd_tol=1e-8)
+    cfg = SolverConfig(r=7, beta=13.0, step_svt=1.99, eps_3=2e-5)
     text = cfg.to_text()
-    for key in ("r", "eps_rho", "eps_1", "eps_2", "eps_3", "eps_lambda", "w",
-                "it_max", "beta", "tau_svt", "step_svt", "fpc_decay",
-                "fpc_floor", "rank_bump", "svd_tol"):
-        assert any(line.startswith(f"{key} =") for line in text.splitlines()), key
+    keys = [line.split(" =")[0] for line in text.splitlines()]
+    assert keys == ["r", "eps_rho", "eps_1", "eps_2", "eps_3", "eps_lambda", "w",
+                    "it_max", "beta", "step_svt"]
     back = SolverConfig.from_text(text)
     assert back == cfg
     path = tmp_path / "solver.cfg"
@@ -117,6 +114,19 @@ def test_config_from_text_errors():
         SolverConfig.from_text("beta = 2.0\n")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         SolverConfig.from_text("r 3\n")
+    with pytest.raises(ValueError, match="line 2: unknown key 'svd_tol'"):
+        SolverConfig.from_text("r = 3\nsvd_tol = 1e-8\n")
+    for text, where in [
+        ("r = auto\n", "line 1: r "),
+        ("r = 3\nw = auto\n", "line 2: w "),
+        ("r = 3\neps_rho = auto\n", "line 2: eps_rho "),
+        ("r = 3\nit_max = 5.0\n", "line 2: it_max "),
+        ("r = 3.5\n", "line 1: r "),
+        ("r = 3\n# comment\nbeta = -1\n", "line 3: beta "),
+    ]:
+        with pytest.raises(ValueError, match=where):
+            SolverConfig.from_text(text)
+    assert SolverConfig.from_text("r = 3\nstep_svt = auto\n").step_svt is None
 
 
 # --- phase one ---
@@ -290,8 +300,6 @@ def test_svt_recovers_small_instance(rng):
 def test_svt_parameter_validation(rng):
     obs = random_observed(rng, 6, 6, 0.5)
     with pytest.raises(ValueError, match="positive"):
-        svt(obs, tau=-1.0)
-    with pytest.raises(ValueError, match="positive"):
         svt(obs, step=0.0)
 
 
@@ -315,8 +323,6 @@ def test_fpc_recovers_small_instance(rng):
 
 def test_fpc_schedule_validation(rng):
     obs = random_observed(rng, 6, 6, 0.5)
-    with pytest.raises(ValueError, match="decay"):
-        fpc(obs, decay=1.0)
     with pytest.raises(ValueError, match="floor"):
         fpc(obs, floor=0.0)
 
@@ -344,7 +350,7 @@ def test_soft_impute_equals_single_lambda_unit_step_fpc(rng):
     truth, obs = observed_rank_r(rng, 30, 30, 3, 0.5)
     lam = 0.1 * truth.sigma[0]
     si = soft_impute(obs, lam, eps=1e-300, it_max=20)
-    fp = fpc(obs, eps_3=1e-300, it_max=20, step=1.0, lambda0=lam, floor=lam, inner_max=100)
+    fp = fpc(obs, eps_3=1e-300, it_max=20, step=1.0, lambda0=lam, floor=lam)
     for col in ("f_lambda", "rel_residual", "rho", "rank"):
         a, b = si.trace.column(col), fp.trace.column(col)
         mask = np.isfinite(a) | np.isfinite(b)
@@ -515,11 +521,6 @@ def no_svd(monkeypatch):
 
 
 @pytest.mark.parametrize("solve", [
-    lambda obs: phase_two(obs, 2, 1.0, FactoredMatrix.zero(*obs.shape), rank_bump=0),
-    lambda obs: soft_impute(obs, 1.0, rank_bump=0),
-    lambda obs: svt(obs, rank_bump=0),
-    lambda obs: fpc(obs, rank_bump=0),
-    lambda obs: svt(obs, tau=math.nan),
     lambda obs: svt(obs, step=math.nan),
     lambda obs: svt(obs, eps_2=math.nan),
     lambda obs: phase_two(obs, 2, math.nan, FactoredMatrix.zero(*obs.shape)),
@@ -530,8 +531,7 @@ def no_svd(monkeypatch):
     lambda obs: fpc(obs, lambda0=math.nan),
     lambda obs: fpc(obs, floor=math.nan),
     lambda obs: fpc(obs, step=math.nan),
-], ids=["phase_two-rank_bump", "soft_impute-rank_bump", "svt-rank_bump", "fpc-rank_bump",
-        "svt-tau", "svt-step", "svt-eps_2", "phase_two-lam", "soft_impute-eps",
+], ids=["svt-step", "svt-eps_2", "phase_two-lam", "soft_impute-eps",
         "phase_one-eps_rho", "phase_one-beta", "frsi-eps_1", "fpc-lambda0", "fpc-floor",
         "fpc-step"])
 def test_invalid_parameters_fail_before_any_svd(no_svd, solve):
