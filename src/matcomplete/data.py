@@ -186,8 +186,9 @@ def make_ratings_dataset(obs: ObservedMatrix, fraction: float = 0.5, seed: int =
 def rer(ground_truth: FactoredMatrix, recovered: FactoredMatrix) -> float:
     """Relative recovery error ``||a - a_hat||_F / ||a||_F``.
 
-    Computed densely below 1000 on a side and through factored Gram
-    identities above, so large iterates are never materialized.
+    Uses :func:`frobenius_distance`: the norm of a small QR core up to 1000
+    on a side and the factored Gram identity above, so no m-by-n matrix is
+    ever formed.
     """
     if ground_truth.shape != recovered.shape:
         raise ValueError(

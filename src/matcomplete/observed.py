@@ -50,9 +50,6 @@ class ObservedMatrix:
             if dup.any():
                 k = int(np.flatnonzero(dup)[0])
                 raise ValueError(f"duplicate index pair ({rows[k]}, {cols[k]}) in omega")
-        self._install(rows, cols, values)
-
-    def _install(self, rows, cols, values):
         # CSR structure, shared by every operator built on this omega; in int32
         # when it fits, scipy takes it as is instead of scanning and copying it
         fits = max(rows.size, self.m, self.n) <= np.iinfo(np.int32).max
@@ -65,27 +62,6 @@ class ObservedMatrix:
         for name, a in arrays.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @classmethod
-    def _from_sorted(cls, template: "ObservedMatrix", values: np.ndarray) -> "ObservedMatrix":
-        """Rebind values onto an existing omega, skipping validation.
-
-        Caller guarantees ``values`` is aligned with ``template``'s canonical
-        entry order.
-        """
-        values = np.asarray(values, dtype=np.float64).copy()
-        if values.shape != template.values.shape:
-            raise ValueError("replacement values must match the omega size")
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "m", template.m)
-        object.__setattr__(obj, "n", template.n)
-        values.setflags(write=False)
-        object.__setattr__(obj, "rows", template.rows)
-        object.__setattr__(obj, "cols", template.cols)
-        object.__setattr__(obj, "values", values)
-        object.__setattr__(obj, "_indptr", template._indptr)
-        object.__setattr__(obj, "_indices", template._indices)
-        return obj
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -12,12 +12,14 @@ from .observed import ObservedMatrix
 
 @dataclass(frozen=True, eq=False)
 class SpLrOperator:
-    """The filled-in iterate ``z + P_omega(a - z)`` as a matrix-free operator.
+    """The matrix ``z + P_omega(s)`` as a matrix-free operator, on the omega of ``obs``.
 
-    Applying the operator costs one sparse product on the residual plus two
-    skinny dense products on the factors, so large iterates never have to be
-    densified.  ``residual`` holds ``obs.values - z[omega]`` aligned with the
-    canonical entry order of ``obs``.
+    Applying the operator costs one sparse product on ``s`` plus two skinny
+    dense products on the factors, so large iterates never have to be
+    densified.  ``residual`` holds ``s`` aligned with the canonical entry
+    order of ``obs``.  With the misfit ``s = obs.values - z[omega]`` this is
+    the filled-in iterate ``z + P_omega(a - z)``; svt passes its sparse dual
+    at ``z = 0`` and fpc the step-scaled misfit.
     """
 
     obs: ObservedMatrix
@@ -60,7 +62,10 @@ class SpLrOperator:
         return out
 
     def check_residual(self, tol: float = 1e-12) -> None:
-        """Verify the stored residual against a recomputation from obs and z."""
+        """Verify a misfit operator, ``s = obs.values - P_omega(z)``, against a
+        fresh gather: the operators of two_phase, phase_one/phase_two,
+        soft_impute, frsi, assemble_iterate_operator and fpc's lambda0 call.
+        svt's dual and fpc's step-scaled misfit are not misfits."""
         fresh = self.obs.values - project_omega(self.z, self.obs)
         scale = max(np.abs(self.obs.values).max(initial=0.0), 1.0)
         dev = np.abs(fresh - self.residual).max(initial=0.0)
@@ -68,7 +73,7 @@ class SpLrOperator:
             raise ValueError(f"stale residual: max deviation {dev:.3e} at scale {scale:.3e}")
 
     def dense(self) -> np.ndarray:
-        """Dense assembly ``z + P_omega(a - z)`` (small sizes only)."""
+        """Dense assembly ``z + P_omega(s)`` (small sizes only)."""
         out = self.z.dense()
         out[self.obs.rows, self.obs.cols] += self.residual
         return out

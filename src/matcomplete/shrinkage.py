@@ -7,7 +7,7 @@ import numpy as np
 from .factored import FactoredMatrix, frobenius_distance
 from .observed import ObservedMatrix
 from .operators import assemble_iterate_operator
-from .svd import truncated_svd
+from .svd import check_counts, truncated_svd
 
 
 def soft_threshold(f: FactoredMatrix, tau: float) -> FactoredMatrix:
@@ -47,8 +47,7 @@ def fixed_rank_step(
     -------
     (x_next, rho) : the new iterate and the threshold used.
     """
-    if r < 1:
-        raise ValueError(f"target rank must be at least 1, got {r}")
+    check_counts(r=r)
     if x.shape != obs.shape:
         raise ValueError(f"shape mismatch: iterate {x.shape} vs observed {obs.shape}")
     p = min(obs.shape)
@@ -110,8 +109,9 @@ def make_spurious_fixed_point(
     if not gamma > 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     p = min(m, n)
-    if r < 1 or r + 1 > p:
-        raise ValueError(f"need 1 <= r and r + 1 <= min(m, n) = {p}, got r = {r}")
+    check_counts(r=r)
+    if r + 1 > p:
+        raise ValueError(f"need r + 1 <= min(m, n) = {p}, got r = {r}")
     if rng is None:
         rng = np.random.default_rng(0)
     if sigma is None:

@@ -15,7 +15,7 @@ from .observed import ObservedMatrix
 # because perfbench/spans.py traces it by rebinding solvers.assemble_iterate_operator
 from .operators import SpLrOperator, assemble_iterate_operator  # noqa: F401
 from .shrinkage import fejer_slack, soft_threshold
-from .svd import truncated_svd
+from .svd import check_counts, truncated_svd
 
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -57,9 +57,7 @@ class SolverConfig:
 
     def __post_init__(self):
         # each message starts with the field's name, which from_text reads
-        for name in ("r", "w", "it_max"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        check_counts(r=self.r, w=self.w, it_max=self.it_max)
         for name in ("eps_rho", "eps_1", "eps_2", "eps_3", "eps_lambda", "beta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -90,6 +88,8 @@ class SolverConfig:
             key, _, val = (t.strip() for t in line.partition("="))
             if key not in types:
                 raise ValueError(f"line {lineno}: unknown key {key!r}")
+            if key in linenos:
+                raise ValueError(f"line {lineno}: key {key!r} repeats line {linenos[key]}")
             linenos[key] = lineno
             parse = int if types[key] == "int" else float
             try:
@@ -299,10 +299,9 @@ def phase_one(
     regularized second phase, plus the last thresholded iterate for callers
     that stop here.
     """
-    if r < 1:
-        raise ValueError("target rank must be at least 1")
-    if not eps_rho > 0 or w < 1 or not beta > 0:
-        raise ValueError("need eps_rho > 0, w >= 1, beta > 0")
+    check_counts(r=r, w=w)
+    if not eps_rho > 0 or not beta > 0:
+        raise ValueError("need eps_rho > 0 and beta > 0")
     m, n = obs.shape
     p = min(m, n)
     trace = trace if trace is not None else SolveTrace()
@@ -379,8 +378,9 @@ def phase_two(
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
-    if not eps_lambda > 0 or it_max < 1 or r < 1:
-        raise ValueError("need eps_lambda > 0, it_max >= 1 and r >= 1")
+    check_counts(r=r, it_max=it_max)
+    if not eps_lambda > 0:
+        raise ValueError("eps_lambda must be positive")
     if x0.shape != obs.shape:
         raise ValueError(f"shape mismatch: start {x0.shape} vs observed {obs.shape}")
     trace = trace if trace is not None else SolveTrace()
@@ -477,8 +477,9 @@ def frsi(
     residual is the previous iterate's and the change spans the pair, so the
     test first fires one step after the residual criterion is met.
     """
-    if r < 1 or not eps_1 > 0 or it_max < 1:
-        raise ValueError("need r >= 1, eps_1 > 0 and it_max >= 1")
+    check_counts(r=r, it_max=it_max)
+    if not eps_1 > 0:
+        raise ValueError("eps_1 must be positive")
     trace = SolveTrace()
     obs_norm = _data_norm(obs)
     p = min(obs.shape)
@@ -540,8 +541,9 @@ def svt(
         step = 1.2 * m * n / obs.nnz if obs.nnz else 1.99
     if not step > 0:
         raise ValueError("step must be positive")
-    if not eps_2 > 0 or it_max < 1:
-        raise ValueError("need eps_2 > 0 and it_max >= 1")
+    check_counts(it_max=it_max)
+    if not eps_2 > 0:
+        raise ValueError("eps_2 must be positive")
 
     trace = SolveTrace()
     obs_norm = _data_norm(obs)
@@ -556,8 +558,8 @@ def svt(
 
     for k in range(1, it_max + 1):
         iterations = k
-        # the sparse dual itself, filled in at the zero iterate
-        op = SpLrOperator(ObservedMatrix._from_sorted(obs, y), zero, y)
+        # the sparse dual itself: zero plus P_omega(y)
+        op = SpLrOperator(obs, zero, y)
         x_next, sigma_beyond = _shrink_at_level(op, tau, r_est)
         r_est = x_next.rank
         misfit = _misfit(x_next, obs)
@@ -602,8 +604,9 @@ def fpc(
     """
     if not floor > 0:
         raise ValueError("floor must be positive")
-    if not step > 0 or not eps_3 > 0 or it_max < 1:
-        raise ValueError("need positive step and eps_3, and it_max >= 1")
+    check_counts(it_max=it_max)
+    if not step > 0 or not eps_3 > 0:
+        raise ValueError("need positive step and eps_3")
     m, n = obs.shape
     obs_norm = _data_norm(obs)
     if lambda0 is None:
@@ -624,13 +627,11 @@ def fpc(
     while total < it_max:
         for _ in range(min(_FPC_INNER_MAX, it_max - total)):
             total += 1
-            # x filled in with the data blended toward it, a - (1 - step) * misfit,
-            # whose residual on omega is step * misfit
-            blended = ObservedMatrix._from_sorted(obs, obs.values - (1.0 - step) * misfit)
-            op = SpLrOperator(blended, x, step * misfit)
+            # the gradient step x + step * P_omega(a - x)
+            op = SpLrOperator(obs, x, step * misfit)
             threshold = lam * step
             x_next, sigma_beyond = _shrink_at_level(op, threshold, r_est)
-            del op, blended
+            del op
             r_est = max(x_next.rank, 1)
             misfit = _misfit(x_next, obs)
             dist = frobenius_distance(x_next, x)
@@ -662,6 +663,7 @@ def soft_impute(
     Identical to :func:`phase_two` with the extrapolation weight pinned to
     zero (unit step on the smooth part, so the objective is nonincreasing).
     """
+    check_counts(rank_start=rank_start)
     x0 = FactoredMatrix.zero(*obs.shape)
     return phase_two(obs, rank_start, lam, x0, eps_lambda=eps, it_max=it_max,
                      momentum=False, phase=1)

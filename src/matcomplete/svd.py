@@ -9,6 +9,8 @@ are never densified.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .factored import FactoredMatrix
@@ -16,6 +18,16 @@ from .factored import FactoredMatrix
 DEFAULT_TOL = 1e-10
 _RESTART_BUFFER = 10
 _BREAKDOWN_REL = 1e-13
+
+
+def check_counts(**counts) -> None:
+    """Reject any count (rank, budget, triplets) that is not an integer of at
+    least 1; bools are not counts.  The message starts with the count's name."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 class TruncatedSvdError(RuntimeError):
@@ -112,7 +124,8 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     """
     m, n = op.shape
     p = min(m, n)
-    if not 1 <= k <= p:
+    check_counts(k=k)
+    if k > p:
         raise ValueError(f"requested {k} triplets from a {m}x{n} operator")
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -186,7 +186,7 @@ def test_cli_out_dir_env_default(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, message", [
     (["synth", "--seeds", "1", "--methods", "frsi"], "w must be at least 1"),
-    (["beta-sweep", "--beta", "3.0"], "w >= 1"),
+    (["beta-sweep", "--beta", "3.0"], "w must be at least 1"),
 ], ids=["synth", "beta-sweep"])
 def test_cli_zero_warm_start_budget_is_an_error(tmp_path, capsys, command, message):
     code = main(command + ["--n", "20", "--r", "2", "--p", "0.3", "--w", "0",

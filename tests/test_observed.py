@@ -73,15 +73,6 @@ def test_sparse_matches_dense(rng):
     assert np.allclose(obs.to_sparse().toarray(), obs.dense())
 
 
-def test_from_sorted_rebinds_values(rng):
-    obs = random_observed(rng, 5, 5, 0.5)
-    fresh = ObservedMatrix._from_sorted(obs, np.arange(obs.nnz, dtype=float))
-    assert fresh.values.tolist() == list(range(obs.nnz))
-    assert fresh.rows is obs.rows
-    with pytest.raises(ValueError, match="omega size"):
-        ObservedMatrix._from_sorted(obs, np.zeros(obs.nnz + 1))
-
-
 def test_save_load_round_trip(tmp_path, rng):
     obs = random_observed(rng, 9, 4, 0.5)
     path = tmp_path / "obs.txt"

@@ -76,17 +76,16 @@ def _sparse_omega(rng, m, n, frac, empty_rows, empty_cols):
 
 @pytest.mark.parametrize("m, n", [(17, 9), (9, 17), (40, 3), (3, 12)])
 def test_rmatvec_matches_dense_transpose(rng, m, n):
-    # on its own omega and on omegas shared through _from_sorted (the svt
-    # dual and the fpc blend)
+    # the misfit operator, the svt-style dual at zero and the fpc-style
+    # step-scaled misfit, all on the data's own omega
     obs = _sparse_omega(rng, m, n, 0.4, empty_rows=[0, m - 1], empty_cols=[1, n // 2])
     z = random_factored(rng, m, n, min(3, m, n))
-    dual = ObservedMatrix._from_sorted(obs, rng.standard_normal(obs.nnz))
+    y_dual = rng.standard_normal(obs.nnz)
     misfit = obs.values - project_omega(z, obs)
-    blended = ObservedMatrix._from_sorted(obs, obs.values - 0.5 * misfit)
     ops = [
         assemble_iterate_operator(obs, z),
-        assemble_iterate_operator(dual, FactoredMatrix.zero(m, n)),
-        SpLrOperator(blended, z, 0.5 * misfit),
+        SpLrOperator(obs, FactoredMatrix.zero(m, n), y_dual),
+        SpLrOperator(obs, z, 0.5 * misfit),
     ]
     for op in ops:
         dense = op.dense()
@@ -95,14 +94,16 @@ def test_rmatvec_matches_dense_transpose(rng, m, n):
             expected = dense.T @ y
             assert np.abs(op.rmatvec(y) - expected).max() <= 1e-12 * max(1.0, np.abs(dense).max()) * np.abs(y).sum()
             assert np.array_equal(op.rmatvec(y), op.rmatvec(y))
-        op.check_residual()
+    ops[0].check_residual()
 
 
 def test_operators_share_the_omegas_csr_indices(rng):
     obs = random_observed(rng, 12, 9, 0.5)
-    dual = ObservedMatrix._from_sorted(obs, rng.standard_normal(obs.nnz))
-    for op in (assemble_iterate_operator(obs, random_factored(rng, 12, 9, 2)),
-               SpLrOperator(dual, FactoredMatrix.zero(12, 9), dual.values)):
+    z = random_factored(rng, 12, 9, 2)
+    misfit = obs.values - project_omega(z, obs)
+    for op in (assemble_iterate_operator(obs, z),
+               SpLrOperator(obs, FactoredMatrix.zero(12, 9), rng.standard_normal(obs.nnz)),
+               SpLrOperator(obs, z, 0.5 * misfit)):
         assert np.shares_memory(op._sparse.indices, obs._indices)
         assert np.shares_memory(op._sparse.indptr, obs._indptr)
         assert np.array_equal(op._sparse.indices, obs.cols)

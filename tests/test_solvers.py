@@ -92,6 +92,11 @@ def test_config_validation():
     for name in ("eps_rho", "beta", "step_svt"):
         with pytest.raises(ValueError, match=name):
             SolverConfig(r=2, **{name: math.nan})
+    # counts must be integers, and bools are not counts
+    for kwargs, name in [(dict(r=3.5), "r"), (dict(r=3, w=2.5), "w"),
+                         (dict(r=3, it_max=2.5), "it_max"), (dict(r=True), "r")]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SolverConfig(**kwargs)
 
 
 def test_config_text_round_trip(tmp_path):
@@ -127,6 +132,8 @@ def test_config_from_text_errors():
         with pytest.raises(ValueError, match=where):
             SolverConfig.from_text(text)
     assert SolverConfig.from_text("r = 3\nstep_svt = auto\n").step_svt is None
+    with pytest.raises(ValueError, match="line 3: key 'r' repeats line 1"):
+        SolverConfig.from_text("r = 3\nbeta = 2.0\nr = 4\n")
 
 
 # --- phase one ---
@@ -479,10 +486,29 @@ def test_momentum_residual_matches_fresh_gather(checked_residuals):
     assert len(checked_residuals) >= res.iterations
 
 
-def test_fpc_blended_residual_matches_fresh_gather(checked_residuals):
+def test_fpc_blended_residual_matches_fresh_gather(monkeypatch):
+    # the lambda0 operator is the data at zero, a plain misfit operator; each
+    # pass then fills in x + step * P_omega(a - x), whose residual is the
+    # step-scaled misfit; all of them on the data's own omega
     inst = gen_synthetic(60, 3, 0.4, seed=4)
-    res = fpc(inst.obs, eps_3=1e-4, step=1.5)
-    assert len(checked_residuals) >= res.iterations + 1
+    step = 1.5
+    checked = []
+    original = solvers.truncated_svd
+
+    def checking(op, k, **kwargs):
+        assert op.obs is inst.obs
+        if checked:
+            fresh = step * (op.obs.values - factored.project_omega(op.z, op.obs))
+            bound = 1e-12 * max(np.abs(op.obs.values).max(), 1.0)
+            assert np.abs(fresh - op.residual).max() <= bound
+        else:
+            op.check_residual(1e-12)
+        checked.append(op.z.k)
+        return original(op, k, **kwargs)
+
+    monkeypatch.setattr(solvers, "truncated_svd", checking)
+    res = fpc(inst.obs, eps_3=1e-4, step=step)
+    assert len(checked) >= res.iterations + 1
 
 
 # --- scale invariance ---
@@ -531,9 +557,18 @@ def no_svd(monkeypatch):
     lambda obs: fpc(obs, lambda0=math.nan),
     lambda obs: fpc(obs, floor=math.nan),
     lambda obs: fpc(obs, step=math.nan),
+    lambda obs: two_phase(obs, SolverConfig(r=3.5)),
+    lambda obs: frsi(obs, 3.5),
+    lambda obs: frsi(obs, True),
+    lambda obs: phase_one(obs, 3, w=2.5),
+    lambda obs: phase_two(obs, 2, 1.0, FactoredMatrix.zero(*obs.shape), it_max=2.5),
+    lambda obs: soft_impute(obs, 1.0, rank_start=2.5),
+    lambda obs: svt(obs, it_max=2.5),
+    lambda obs: fpc(obs, it_max=2.5),
 ], ids=["svt-step", "svt-eps_2", "phase_two-lam", "soft_impute-eps",
         "phase_one-eps_rho", "phase_one-beta", "frsi-eps_1", "fpc-lambda0", "fpc-floor",
-        "fpc-step"])
+        "fpc-step", "two_phase-r", "frsi-r", "frsi-r-bool", "phase_one-w", "phase_two-it_max",
+        "soft_impute-rank_start", "svt-it_max", "fpc-it_max"])
 def test_invalid_parameters_fail_before_any_svd(no_svd, solve):
     obs = gen_synthetic(20, 2, 0.5, seed=2).obs
     with pytest.raises(ValueError):

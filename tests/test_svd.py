@@ -112,10 +112,13 @@ def test_budget_exhaustion_carries_best(rng):
 
 def test_argument_validation(rng):
     op = splr_op(rng, 10, 10, 2, 0.4)
-    with pytest.raises(ValueError, match="triplets"):
+    with pytest.raises(ValueError, match="k must be at least 1"):
         truncated_svd(op, 0)
     with pytest.raises(ValueError, match="triplets"):
         truncated_svd(op, 11)
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            truncated_svd(op, k)
     with pytest.raises(ValueError, match="tol"):
         truncated_svd(op, 2, tol=0.0)
 
