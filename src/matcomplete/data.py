@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factored import FactoredMatrix, frobenius_distance, project_entries, project_omega
-from .observed import ObservedMatrix
+from .observed import ObservedMatrix, check_counts
 
 _ML_SEPARATORS = {"ml100k": "\t", "ml1m": "::"}
 
@@ -70,7 +70,8 @@ def gen_synthetic(n: int, r: int, p: float, seed: int) -> SyntheticInstance:
     truth with BLAS products, so they are identical for a given numpy and
     BLAS build and may differ in the last bit between builds.
     """
-    if r < 1 or r >= n:
+    check_counts(n=n, r=r)
+    if r >= n:
         raise ValueError(f"need 1 <= r < n, got r = {r}, n = {n}")
     if not 0 <= p < 1:
         raise ValueError(f"deleted fraction must lie in [0, 1), got {p}")

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+
+
+def check_counts(**counts) -> None:
+    """Reject any count (size, rank, budget, triplets) that is not an integer
+    of at least 1; bools are not counts.  The message starts with the count's
+    name."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,8 +39,7 @@ class ObservedMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.m <= 0 or self.n <= 0:
-            raise ValueError(f"matrix dimensions must be positive, got {self.m}x{self.n}")
+        check_counts(m=self.m, n=self.n)
         rows = np.asarray(self.rows, dtype=np.int64).copy()
         cols = np.asarray(self.cols, dtype=np.int64).copy()
         values = np.asarray(self.values, dtype=np.float64).copy()

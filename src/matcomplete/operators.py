@@ -37,7 +37,11 @@ class SpLrOperator:
         residual = residual.copy()
         residual.setflags(write=False)
         object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "_sparse", self.obs.sparse_with(residual))
+        csr = self.obs.sparse_with(residual)
+        object.__setattr__(self, "_sparse", csr)
+        # rmatvec's transpose, a CSC view on the same arrays; built once here,
+        # since each .T builds a new matrix whose constructor scans the indices
+        object.__setattr__(self, "_sparse_t", csr.T)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -56,7 +60,7 @@ class SpLrOperator:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.shape[0],):
             raise ValueError(f"expected a vector of length {self.shape[0]}, got {y.shape}")
-        out = self._sparse.T @ y
+        out = self._sparse_t @ y
         if self.z.k:
             out = out + self.z.v @ (self.z.sigma * (self.z.u.T @ y))
         return out

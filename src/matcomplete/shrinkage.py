@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .factored import FactoredMatrix, frobenius_distance
-from .observed import ObservedMatrix
+from .observed import ObservedMatrix, check_counts
 from .operators import assemble_iterate_operator
-from .svd import check_counts, truncated_svd
+from .svd import truncated_svd
 
 
 def soft_threshold(f: FactoredMatrix, tau: float) -> FactoredMatrix:

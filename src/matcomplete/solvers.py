@@ -10,12 +10,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .factored import FactoredMatrix, combine, frobenius_distance, project_omega
-from .observed import ObservedMatrix
+from .observed import ObservedMatrix, check_counts
 # assemble_iterate_operator is not called here; it stays bound in this module
 # because perfbench/spans.py traces it by rebinding solvers.assemble_iterate_operator
 from .operators import SpLrOperator, assemble_iterate_operator  # noqa: F401
 from .shrinkage import fejer_slack, soft_threshold
-from .svd import check_counts, truncated_svd
+from .svd import truncated_svd
 
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -163,7 +163,13 @@ class SolveResult:
 
 @dataclass
 class PhaseOneResult:
-    """Warm-start output: momentum iterate, stabilized threshold, diagnostics."""
+    """Warm-start output: momentum iterate, stabilized threshold, diagnostics.
+
+    ``first_iterate`` is ``S_rho`` of the filled-in momentum iterate ``z``,
+    read off the SVD that the stop test has just computed: phase two's first
+    step at ``lam = rho`` from ``z``.  It is None when phase one did not
+    stabilize.
+    """
 
     z: FactoredMatrix
     rho: float
@@ -172,6 +178,7 @@ class PhaseOneResult:
     stabilized: bool
     sigma_top: float
     trace: SolveTrace
+    first_iterate: FactoredMatrix | None = None
 
 
 class _StallDetector:
@@ -295,9 +302,16 @@ def phase_one(
     demand near-absolute stabilization of a quantity that lives at the data's
     scale.
 
+    Each SVD after the first starts its Lanczos run warm, from the previous
+    SVD's right factor summed over its columns: consecutive fill-in matrices
+    differ little.
+
     Returns the last momentum iterate and stabilized rho, which seed the
     regularized second phase, plus the last thresholded iterate for callers
-    that stop here.
+    that stop here.  On stabilizing it also returns ``first_iterate``, the
+    exit SVD shrunk at rho: that SVD is of the matrix that phase two's first
+    step shrinks at ``lam = rho``, so :func:`phase_two` takes it as its first
+    iterate instead of computing the same SVD again.
     """
     check_counts(r=r, w=w)
     if not eps_rho > 0 or not beta > 0:
@@ -315,19 +329,23 @@ def phase_one(
     sigma_top = 0.0
     anchor = np.finfo(float).tiny
     stabilized = False
+    first_iterate = None
+    start = None
     iterations = 0
     t0 = time.perf_counter()
 
     for j in range(1, w + 1):
         iterations = j
-        f = truncated_svd(op, min(r + 1, p))
+        f = truncated_svd(op, min(r + 1, p), start=start)
         del op  # its residual copy would only add to the peak during the gather
+        start = f.v.sum(axis=1)
         rho = float(f.sigma[r]) if r < p else 0.0
         sigma_top = float(f.sigma[0]) if f.k else 0.0
         if j == 1:
             anchor = max(sigma_top, anchor)
         if math.isfinite(rho_prev) and abs(rho - rho_prev) / (anchor + rho_prev) < eps_rho:
             stabilized = True
+            first_iterate = soft_threshold(f, rho)
             trace.append(TraceRecord(j, 1, rho, math.nan, math.nan, math.nan,
                                      x_prev.rank, time.perf_counter() - t0))
             break
@@ -349,7 +367,8 @@ def phase_one(
         misfit_prev = misfit
         rho_prev = rho
 
-    return PhaseOneResult(z, rho, x_prev, iterations, stabilized, sigma_top, trace)
+    return PhaseOneResult(z, rho, x_prev, iterations, stabilized, sigma_top, trace,
+                          first_iterate)
 
 
 def phase_two(
@@ -363,6 +382,7 @@ def phase_two(
     momentum: bool = True,
     trace: SolveTrace | None = None,
     phase: int = 2,
+    first_iterate: FactoredMatrix | None = None,
 ) -> SolveResult:
     """Accelerated proximal iteration for the fixed-lam regularized problem.
 
@@ -375,6 +395,13 @@ def phase_two(
     false the extrapolation weight is pinned to zero, which recovers the
     plain fixed-point iteration.  Records are numbered after those already in
     ``trace``.
+
+    ``first_iterate``, when given, must be the first step's result, ``lam``
+    shrunk off the filled-in ``x0``, as :class:`PhaseOneResult` carries it
+    from phase one's exit SVD.  The first iteration then takes it instead of
+    building that operator and computing its SVD again; it still counts as
+    an iteration, and its trace record reports ``lam`` as the largest value
+    shrunk to zero.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -383,13 +410,17 @@ def phase_two(
         raise ValueError("eps_lambda must be positive")
     if x0.shape != obs.shape:
         raise ValueError(f"shape mismatch: start {x0.shape} vs observed {obs.shape}")
+    if first_iterate is not None and first_iterate.shape != obs.shape:
+        raise ValueError(f"shape mismatch: first iterate {first_iterate.shape} "
+                         f"vs observed {obs.shape}")
     trace = trace if trace is not None else SolveTrace()
     first = len(trace)
     obs_norm = _data_norm(obs)
     x_prev = x0
     misfit_prev = _misfit(x0, obs)
     f_prev = _objective_value(misfit_prev, x0, lam)
-    op = SpLrOperator(obs, x0, misfit_prev)
+    # op is None at the top of the loop only when the first step is handed in
+    op = None if first_iterate is not None else SpLrOperator(obs, x0, misfit_prev)
     best_f, best_x = f_prev, x0
     r_est = r
     status = BUDGET_EXHAUSTED
@@ -400,8 +431,11 @@ def phase_two(
 
     for k in range(1, it_max + 1):
         iterations = k
-        x_k, sigma_beyond = _shrink_at_level(op, lam, r_est)
-        del op
+        if op is None:
+            x_k, sigma_beyond = first_iterate, lam
+        else:
+            x_k, sigma_beyond = _shrink_at_level(op, lam, r_est)
+        op = None
         r_est = x_k.rank
         misfit = _misfit(x_k, obs)
         f_k = _objective_value(misfit, x_k, lam)
@@ -447,7 +481,9 @@ def two_phase(
     over both phases.  If the warm start already drove the (r+1)-th singular
     value to numerical zero (1e-12 times the leading one) the filled matrix
     has rank at most r and the last warm-start iterate is returned as
-    converged.
+    converged.  Otherwise phase two's first iterate is the one phase one read
+    off its exit SVD (``PhaseOneResult.first_iterate``), so the solve makes
+    one SVD call fewer than it has iterations when phase one stabilizes.
     """
     trace = SolveTrace()
     p1 = phase_one(obs, config.r, config.eps_rho, config.w, config.beta,
@@ -455,7 +491,8 @@ def two_phase(
     if p1.rho <= 1e-12 * p1.sigma_top:
         return SolveResult(p1.x_last, p1.iterations, CONVERGED, trace,
                            phase_split=(p1.iterations, 0))
-    p2 = phase_two(obs, config.r, p1.rho, p1.z, config.eps_lambda, config.it_max, trace=trace)
+    p2 = phase_two(obs, config.r, p1.rho, p1.z, config.eps_lambda, config.it_max, trace=trace,
+                   first_iterate=p1.first_iterate)
     total = p1.iterations + p2.iterations
     return SolveResult(p2.x, total, p2.status, trace,
                        phase_split=(p1.iterations, p2.iterations))

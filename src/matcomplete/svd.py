@@ -9,25 +9,17 @@ are never densified.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .factored import FactoredMatrix
+from .observed import check_counts
 
 DEFAULT_TOL = 1e-10
 _RESTART_BUFFER = 10
 _BREAKDOWN_REL = 1e-13
-
-
-def check_counts(**counts) -> None:
-    """Reject any count (rank, budget, triplets) that is not an integer of at
-    least 1; bools are not counts.  The message starts with the count's name."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+# weight of the seeded Gaussian mixed into a warm start vector, so that every
+# direction, not only the previous factor's span, enters the Krylov space
+_WARM_PERTURBATION = 0.01
 
 
 class TruncatedSvdError(RuntimeError):
@@ -105,7 +97,8 @@ def _repair_null_columns(factor, sigma, rng):
         factor[:, i] = 0.0 if fresh is None else fresh
 
 
-def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = None) -> FactoredMatrix:
+def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = None, *,
+                  start: np.ndarray | None = None) -> FactoredMatrix:
     """Leading ``k`` singular triplets of a matrix-free operator.
 
     Parameters
@@ -121,6 +114,13 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         Lanczos step budget across restarts; defaults to ``10 * k + 100``.
         Exhaustion raises :class:`TruncatedSvdError` carrying the best
         triplets found so far.
+    start : ndarray of length ``n``, optional
+        A warm start for the Lanczos run, such as the previous call's right
+        factor summed over its columns on a nearby operator.  The start
+        vector becomes ``start/||start|| + 0.01 g/||g||``, where ``g`` is the
+        seeded Gaussian a cold call starts from, so every direction stays in
+        the Krylov space; the result is deterministic and meets the same
+        ``tol``.  Without ``start`` the run starts from ``g`` alone.
     """
     m, n = op.shape
     p = min(m, n)
@@ -129,6 +129,18 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         raise ValueError(f"requested {k} triplets from a {m}x{n} operator")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (n,):
+            raise ValueError(f"start must be a vector of length {n}, got shape {start.shape}")
+        if not np.isfinite(start).all():
+            raise ValueError("start must be finite")
+        amax = np.abs(start).max()
+        if amax == 0.0:
+            raise ValueError("start must not be the zero vector")
+        # scaled by its largest magnitude first, so that its norm cannot overflow
+        start = start / amax
+        start /= np.linalg.norm(start)
     if max_steps is None:
         max_steps = 10 * k + 100
     keep = min(k + _RESTART_BUFFER, p)
@@ -140,6 +152,8 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     bmat = np.zeros((max_dim, max_dim))
 
     v0 = rng.standard_normal(n)
+    if start is not None:
+        v0 = start + _WARM_PERTURBATION * (v0 / np.linalg.norm(v0))
     bv[:, 0] = v0 / np.linalg.norm(v0)
 
     j = 0

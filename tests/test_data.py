@@ -62,6 +62,12 @@ def test_generator_validation():
         gen_synthetic(10, 2, 1.0, seed=0)
 
 
+@pytest.mark.parametrize("n, r, name", [(20, 2.5, "r"), (20.0, 2, "n"), (20, True, "r")])
+def test_generator_rejects_sizes_that_are_not_integers(n, r, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        gen_synthetic(n, r, 0.5, 0)
+
+
 def test_synthetic_round_trip(tmp_path):
     inst = gen_synthetic(15, 2, 0.3, seed=4)
     base = str(tmp_path / "inst")

@@ -45,6 +45,17 @@ def test_mismatched_lengths_rejected():
         ObservedMatrix(2, 2, [0, 1], [0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("m, n, message", [
+    (3.5, 4, "m must be an integer"),
+    (True, 4, "m must be an integer"),
+    (3, 4.0, "n must be an integer"),
+    (0, 4, "m must be at least 1"),
+])
+def test_sizes_must_be_positive_integers(m, n, message):
+    with pytest.raises(ValueError, match=message):
+        ObservedMatrix(m, n, [0], [0], [1.0])
+
+
 def test_empty_omega_allowed():
     obs = ObservedMatrix(4, 5, [], [], [])
     assert obs.nnz == 0

@@ -109,6 +109,39 @@ def test_operators_share_the_omegas_csr_indices(rng):
         assert np.array_equal(op._sparse.indices, obs.cols)
 
 
+def test_rmatvec_transpose_is_a_view_built_once(rng, monkeypatch):
+    # misfit, svt-style dual at zero (zero + P_omega(y)) and fpc-style
+    # gradient step (x + step P_omega(a - x)): rmatvec is bitwise the fresh
+    # transpose product plus the low-rank term, through a view on the CSR
+    # that the operator built, so rmatvec itself transposes nothing
+    transposed = []
+    csr_type = type(random_observed(rng, 2, 2, 0.5).to_sparse())
+    original = csr_type.transpose
+
+    def counting(self, *args, **kwargs):
+        transposed.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(csr_type, "transpose", counting)
+    obs = random_observed(rng, 14, 11, 0.5)
+    z = random_factored(rng, 14, 11, 3)
+    misfit = obs.values - project_omega(z, obs)
+    for op in (assemble_iterate_operator(obs, z),
+               SpLrOperator(obs, FactoredMatrix.zero(14, 11), rng.standard_normal(obs.nnz)),
+               SpLrOperator(obs, z, 1.5 * misfit)):
+        view = op._sparse_t
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(view, name), getattr(op._sparse, name))
+        y = rng.standard_normal(14)
+        transposed.clear()
+        got = op.rmatvec(y)
+        assert transposed == []
+        expected = op._sparse.T @ y
+        if op.z.k:
+            expected = expected + op.z.v @ (op.z.sigma * (op.z.u.T @ y))
+        assert np.array_equal(got, expected)
+
+
 def test_vector_length_validated(rng):
     obs = random_observed(rng, 5, 7, 0.4)
     op = assemble_iterate_operator(obs, FactoredMatrix.zero(5, 7))

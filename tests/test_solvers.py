@@ -208,6 +208,8 @@ def test_phase_two_parameter_validation(rng):
         phase_two(obs, 1, 0.0, z)
     with pytest.raises(ValueError, match="shape mismatch"):
         phase_two(obs, 1, 1.0, FactoredMatrix.zero(6, 5))
+    with pytest.raises(ValueError, match="shape mismatch: first iterate"):
+        phase_two(obs, 1, 1.0, z, first_iterate=FactoredMatrix.zero(5, 6))
 
 
 # --- two phase ---
@@ -254,6 +256,62 @@ def test_two_phase_warm_start_wiring(rng):
     assert res.iterations == 1 + ref.iterations
     assert res.status == ref.status
     assert np.allclose(res.x.dense(), ref.x.dense(), atol=1e-10 * max(1.0, ref.x.norm()))
+
+
+@pytest.fixture
+def svd_results(monkeypatch):
+    """Records every SVD the solvers compute, in order."""
+    results = []
+    original = solvers.truncated_svd
+
+    def recording(op, k, **kwargs):
+        results.append(original(op, k, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(solvers, "truncated_svd", recording)
+    return results
+
+
+def test_two_phase_reuses_phase_one_exit_svd(svd_results):
+    inst = gen_synthetic(80, 3, 0.3, seed=5)
+    res = two_phase(inst.obs, SolverConfig(r=3, beta=5.0))
+    p1, p2 = res.phase_split
+    assert p1 >= 3 and p2 >= 2
+    assert len(svd_results) == p1 + p2 - 1
+
+
+def test_phase_two_first_iterate_is_phase_one_exit_svd_shrunk(svd_results):
+    inst = gen_synthetic(60, 3, 0.4, seed=4)
+    p1 = phase_one(inst.obs, 3, beta=5.0)
+    assert p1.stabilized
+    first = p1.first_iterate
+    exit_shrunk = soft_threshold(svd_results[-1], p1.rho)
+    assert np.array_equal(first.sigma, exit_shrunk.sigma)
+    assert np.array_equal(first.u, exit_shrunk.u)
+    assert np.array_equal(first.v, exit_shrunk.v)
+    assert first.rank <= 3
+    # the step phase two would compute afresh: the filled-in z shrunk at rho
+    fresh = soft_threshold(truncated_svd(assemble_iterate_operator(inst.obs, p1.z), 4), p1.rho)
+    assert np.abs(first.dense() - fresh.dense()).max() <= 1e-9 * p1.sigma_top
+    # phase two takes it as its first iterate, with no SVD of its own
+    svd_results.clear()
+    res = phase_two(inst.obs, 3, p1.rho, p1.z, it_max=1, first_iterate=first)
+    assert svd_results == []
+    assert res.iterations == 1
+    record = res.trace.records[0]
+    assert record.rank == first.rank
+    assert record.rho == p1.rho
+
+
+def test_phase_two_computes_its_first_svd_when_phase_one_exhausts_w(svd_results):
+    inst = gen_synthetic(60, 3, 0.4, seed=4)
+    p1 = phase_one(inst.obs, 3, w=2, beta=5.0)
+    assert not p1.stabilized
+    assert p1.first_iterate is None
+    svd_results.clear()
+    res = two_phase(inst.obs, SolverConfig(r=3, beta=5.0, w=2))
+    assert res.phase_split[0] == 2
+    assert len(svd_results) == res.iterations
 
 
 # --- frsi ---
@@ -483,7 +541,8 @@ def test_momentum_residual_matches_fresh_gather(checked_residuals):
     assert res.phase_split[0] >= 3 and res.phase_split[1] >= 2
     # operators at a momentum point carry a combined factorization of up to 2r columns
     assert max(checked_residuals) > 3
-    assert len(checked_residuals) >= res.iterations
+    # phase two's first step is read off phase one's exit SVD
+    assert len(checked_residuals) == res.phase_split[0] + res.phase_split[1] - 1
 
 
 def test_fpc_blended_residual_matches_fresh_gather(monkeypatch):

@@ -9,6 +9,7 @@ from matcomplete import (
     dense_svd,
     truncated_svd,
 )
+from matcomplete import svd
 
 from conftest import full_observed, random_factored, random_observed
 
@@ -125,11 +126,12 @@ def test_argument_validation(rng):
 
 def test_repeat_calls_are_bitwise_identical(rng):
     op = splr_op(rng, 25, 30, 3, 0.3)
-    f1 = truncated_svd(op, 4)
-    f2 = truncated_svd(op, 4)
-    assert np.array_equal(f1.sigma, f2.sigma)
-    assert np.array_equal(f1.u, f2.u)
-    assert np.array_equal(f1.v, f2.v)
+    for start in (None, rng.standard_normal(30)):
+        f1 = truncated_svd(op, 4, start=start)
+        f2 = truncated_svd(op, 4, start=None if start is None else start.copy())
+        assert np.array_equal(f1.sigma, f2.sigma)
+        assert np.array_equal(f1.u, f2.u)
+        assert np.array_equal(f1.v, f2.v)
 
 
 # --- dense oracle ---
@@ -163,3 +165,115 @@ def test_dense_svd_size_guard(rng):
     with pytest.raises(ValueError, match="<= 512"):
         dense_svd(np.zeros((600, 600)))
     dense_svd(np.zeros((600, 12)))  # min dimension governs
+
+
+# --- warm start ---
+
+
+def test_warm_starts_match_dense_oracle():
+    # criterion-6 style: 100 random operators, each started from a previous
+    # call's summed right factor on a perturbed operator, from inside the
+    # top-k right singular span, and from its orthogonal complement
+    rng = np.random.default_rng(616)
+    worst = 0.0
+    for _ in range(100):
+        m = int(rng.integers(10, 61))
+        n = int(rng.integers(10, 81))
+        obs = random_observed(rng, m, n, 0.2)
+        z = random_factored(rng, m, n, 3)
+        op = assemble_iterate_operator(obs, z)
+        k = min(5, min(m, n))
+        nearby = ObservedMatrix(m, n, obs.rows, obs.cols,
+                                obs.values * (1.0 + 0.01 * rng.standard_normal(obs.nnz)))
+        previous = truncated_svd(assemble_iterate_operator(nearby, z), k)
+        oracle = dense_svd(op.dense())
+        top = oracle.v[:, :k]
+        g = rng.standard_normal(n)
+        starts = (previous.v.sum(axis=1), top @ rng.standard_normal(k), g - top @ (top.T @ g))
+        for start in starts:
+            f = truncated_svd(op, k, start=start)
+            f.validate()
+            dev = np.abs(f.sigma - oracle.sigma[:k]).max() / max(oracle.sigma[0], 1e-300)
+            worst = max(worst, dev)
+    assert worst <= 1e-8
+
+
+def test_warm_start_in_an_invariant_subspace_still_finds_the_top_values():
+    # block-diagonal operator whose top singular values all sit in the first
+    # block; exact zeros keep a start on the second block there for good, so
+    # only the seeded Gaussian mixed into the start can reach the first block
+    rng = np.random.default_rng(5)
+    n, b = 120, 20
+    a = np.zeros((n, n))
+    a[:b, :b] = 10 * rng.standard_normal((b, b))
+    a[b:, b:] = rng.standard_normal((n - b, n - b))
+    rows, cols = np.nonzero(a)
+    op = assemble_iterate_operator(ObservedMatrix(n, n, rows, cols, a[rows, cols]),
+                                   FactoredMatrix.zero(n, n))
+    start = np.r_[np.zeros(b), rng.standard_normal(n - b)]
+    f = truncated_svd(op, 3, start=start)
+    oracle = dense_svd(a)
+    assert np.abs(f.sigma - oracle.sigma[:3]).max() <= 1e-10 * oracle.sigma[0]
+
+
+def test_warm_start_on_a_singular_vector_takes_the_breakdown_path(rng, monkeypatch):
+    f_true = random_factored(rng, 50, 50, 4)
+    op = assemble_iterate_operator(full_observed(f_true.dense()), FactoredMatrix.zero(50, 50))
+    fresh = []
+    original = svd._fresh_direction
+
+    def counting(*args):
+        fresh.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(svd, "_fresh_direction", counting)
+    f = truncated_svd(op, 6, start=f_true.v[:, 0])
+    assert fresh
+    assert np.allclose(f.sigma[:4], f_true.sigma, rtol=1e-12)
+    assert f.sigma[4] <= 1e-12 * f.sigma[0]
+    f.validate()
+
+
+def test_cold_call_starts_from_the_seeded_gaussian(rng):
+    # the first vector the operator sees is the cold path's own: a warm start
+    # leaves every call without one unchanged
+    op = splr_op(rng, 25, 30, 3, 0.3)
+    seen = []
+
+    class Recording:
+        shape = op.shape
+
+        def matvec(self, x):
+            seen.append(x.copy())
+            return op.matvec(x)
+
+        def rmatvec(self, y):
+            return op.rmatvec(y)
+
+    f = truncated_svd(Recording(), 4)
+    g = np.random.default_rng(0x1B1D).standard_normal(30)
+    assert np.array_equal(seen[0], g / np.linalg.norm(g))
+    default = truncated_svd(op, 4, start=None)
+    assert np.array_equal(f.sigma, default.sigma)
+    assert np.array_equal(f.u, default.u)
+    assert np.array_equal(f.v, default.v)
+
+
+@pytest.mark.parametrize("start, message", [
+    (np.ones(9), "start must be a vector of length 10"),
+    (np.ones((10, 1)), "start must be a vector of length 10"),
+    (np.r_[np.ones(9), np.nan], "start must be finite"),
+    (np.r_[np.ones(9), np.inf], "start must be finite"),
+    (np.zeros(10), "start must not be the zero vector"),
+])
+def test_bad_start_rejected(rng, start, message):
+    op = splr_op(rng, 12, 10, 2, 0.4)
+    with pytest.raises(ValueError, match=message):
+        truncated_svd(op, 2, start=start)
+
+
+def test_huge_start_does_not_overflow(rng):
+    op = splr_op(rng, 12, 10, 2, 0.4)
+    start = np.full(10, 1e300)
+    f = truncated_svd(op, 2, start=start)
+    assert np.allclose(f.sigma, dense_svd(op.dense()).sigma[:2], rtol=1e-10)
