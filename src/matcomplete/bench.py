@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import gen_synthetic, load_movielens, make_ratings_dataset, rer, rmse
+from .observed import check_counts
 from .solvers import SolverConfig, fpc, frsi, phase_one, svt, two_phase
 
 TOLERANCE_BUNDLES = {
@@ -142,6 +143,7 @@ def run_synth(
     per-method medians and means.  Returns the process exit code: zero when
     every run completed without error.
     """
+    check_counts(seeds=seeds, threads=threads)
     methods = tuple(methods)
     for method in methods:
         if method not in METHODS:

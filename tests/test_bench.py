@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +164,33 @@ def test_cli_synth_and_exit_code(tmp_path):
                  "--methods", "frsi", "--out-dir", str(out)])
     assert code == 0
     assert (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seeds", "0"), ("--seeds", "-2"), ("--threads", "0"), ("--threads", "-3"),
+])
+def test_cli_synth_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "none"
+    code = main(["synth", "--n", "30", "--r", "2", "--p", "0.5", "--methods", "svt",
+                 "--out-dir", str(out), flag, value])
+    assert code == 1
+    assert f"error: {flag[2:]} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_console_scripts_resolve():
+    # what pip installs: each [project.scripts] target imports from the
+    # package under src/ and is callable
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["scripts"]
+    for name, target in project["scripts"].items():
+        module_name, _, attr = target.partition(":")
+        module = importlib.import_module(module_name)
+        assert Path(module.__file__).resolve().is_relative_to(root / "src"), name
+        assert callable(getattr(module, attr)), name
 
 
 def test_cli_rejects_bad_method(capsys):

@@ -28,6 +28,7 @@ from matcomplete import (
 from matcomplete import factored, solvers
 from matcomplete.operators import assemble_iterate_operator
 from matcomplete.solvers import _StallDetector
+from matcomplete.svd import DEFAULT_TOL
 
 from conftest import full_observed, random_factored, random_observed
 
@@ -259,33 +260,35 @@ def test_two_phase_warm_start_wiring(rng):
 
 
 @pytest.fixture
-def svd_results(monkeypatch):
-    """Records every SVD the solvers compute, in order."""
-    results = []
+def svd_calls(monkeypatch):
+    """Records every SVD call the solvers make, in order: its keywords and
+    its result."""
+    calls = []
     original = solvers.truncated_svd
 
     def recording(op, k, **kwargs):
-        results.append(original(op, k, **kwargs))
-        return results[-1]
+        f = original(op, k, **kwargs)
+        calls.append((kwargs, f))
+        return f
 
     monkeypatch.setattr(solvers, "truncated_svd", recording)
-    return results
+    return calls
 
 
-def test_two_phase_reuses_phase_one_exit_svd(svd_results):
+def test_two_phase_reuses_phase_one_exit_svd(svd_calls):
     inst = gen_synthetic(80, 3, 0.3, seed=5)
     res = two_phase(inst.obs, SolverConfig(r=3, beta=5.0))
     p1, p2 = res.phase_split
     assert p1 >= 3 and p2 >= 2
-    assert len(svd_results) == p1 + p2 - 1
+    assert len(svd_calls) == p1 + p2 - 1
 
 
-def test_phase_two_first_iterate_is_phase_one_exit_svd_shrunk(svd_results):
+def test_phase_two_first_iterate_is_phase_one_exit_svd_shrunk(svd_calls):
     inst = gen_synthetic(60, 3, 0.4, seed=4)
     p1 = phase_one(inst.obs, 3, beta=5.0)
     assert p1.stabilized
     first = p1.first_iterate
-    exit_shrunk = soft_threshold(svd_results[-1], p1.rho)
+    exit_shrunk = soft_threshold(svd_calls[-1][1], p1.rho)
     assert np.array_equal(first.sigma, exit_shrunk.sigma)
     assert np.array_equal(first.u, exit_shrunk.u)
     assert np.array_equal(first.v, exit_shrunk.v)
@@ -294,24 +297,24 @@ def test_phase_two_first_iterate_is_phase_one_exit_svd_shrunk(svd_results):
     fresh = soft_threshold(truncated_svd(assemble_iterate_operator(inst.obs, p1.z), 4), p1.rho)
     assert np.abs(first.dense() - fresh.dense()).max() <= 1e-9 * p1.sigma_top
     # phase two takes it as its first iterate, with no SVD of its own
-    svd_results.clear()
+    svd_calls.clear()
     res = phase_two(inst.obs, 3, p1.rho, p1.z, it_max=1, first_iterate=first)
-    assert svd_results == []
+    assert svd_calls == []
     assert res.iterations == 1
     record = res.trace.records[0]
     assert record.rank == first.rank
     assert record.rho == p1.rho
 
 
-def test_phase_two_computes_its_first_svd_when_phase_one_exhausts_w(svd_results):
+def test_phase_two_computes_its_first_svd_when_phase_one_exhausts_w(svd_calls):
     inst = gen_synthetic(60, 3, 0.4, seed=4)
     p1 = phase_one(inst.obs, 3, w=2, beta=5.0)
     assert not p1.stabilized
     assert p1.first_iterate is None
-    svd_results.clear()
+    svd_calls.clear()
     res = two_phase(inst.obs, SolverConfig(r=3, beta=5.0, w=2))
     assert res.phase_split[0] == 2
-    assert len(svd_results) == res.iterations
+    assert len(svd_calls) == res.iterations
 
 
 # --- frsi ---
@@ -366,6 +369,59 @@ def test_svt_parameter_validation(rng):
     obs = random_observed(rng, 6, 6, 0.5)
     with pytest.raises(ValueError, match="positive"):
         svt(obs, step=0.0)
+
+
+@pytest.mark.parametrize("eps_2", [1e-4, 1e-3, 1e-12])
+def test_svt_svds_run_at_its_stop_accuracy_and_start_warm(svd_calls, eps_2):
+    inst = gen_synthetic(60, 3, 0.4, seed=4)
+    res = svt(inst.obs, eps_2=eps_2, it_max=150)
+    # some passes regrow the rank, so their extra calls are covered too
+    assert len(svd_calls) > res.iterations
+    assert all(kwargs["tol"] == max(1e-2 * eps_2, 1e-10) for kwargs, _ in svd_calls)
+    assert svd_calls[0][0].get("start") is None
+    # each call starts from the one before it, within a pass and across passes
+    for (kwargs, _), (_, previous) in zip(svd_calls[1:], svd_calls):
+        assert np.array_equal(kwargs["start"], previous.v.sum(axis=1))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda obs: phase_two(obs, 3, 0.5, FactoredMatrix.zero(60, 60), eps_lambda=1e-8),
+    lambda obs: soft_impute(obs, 0.5, eps=1e-8, rank_start=3),
+    lambda obs: fpc(obs, eps_3=1e-4, step=1.5),
+    lambda obs: frsi(obs, 3, eps_1=1e-6),
+], ids=["phase_two", "soft_impute", "fpc", "frsi"])
+def test_other_solvers_svds_run_cold_at_default_tol(svd_calls, solve):
+    # criterion 8 and the property tests' 1e-10 bounds rest on these
+    inst = gen_synthetic(60, 3, 0.4, seed=4)
+    solve(inst.obs)
+    assert svd_calls
+    for kwargs, _ in svd_calls:
+        assert kwargs.get("tol", DEFAULT_TOL) == DEFAULT_TOL
+        assert kwargs.get("start") is None
+
+
+@pytest.mark.parametrize("eps_2", [1e-4, 1e-3])
+@pytest.mark.parametrize("n, r, p, seed", [
+    (60, 2, 0.4, 21), (60, 3, 0.4, 4), (120, 4, 0.5, 3), (200, 5, 0.6, 1), (50, 2, 0.4, 3),
+])
+def test_svt_solves_as_with_cold_svds_at_default_tol(monkeypatch, n, r, p, seed, eps_2):
+    inst = gen_synthetic(n, r, p, seed=seed)
+    got = svt(inst.obs, eps_2=eps_2)
+    original = solvers.truncated_svd
+
+    def cold_at_default_tol(op, k, **kwargs):
+        return original(op, k)
+
+    monkeypatch.setattr(solvers, "truncated_svd", cold_at_default_tol)
+    ref = svt(inst.obs, eps_2=eps_2)
+    assert (got.iterations, got.status, got.recovered_rank) == (
+        ref.iterations, ref.status, ref.recovered_rank)
+    # each SVD leaves a residual of at most tol * sigma_1, so the iterate may
+    # drift a few tol from the reference, but not ten (the worst measured
+    # over these cases is 0.48 tol)
+    tol = max(1e-2 * eps_2, DEFAULT_TOL)
+    expected = ref.x.dense()
+    assert np.abs(got.x.dense() - expected).max() <= 10 * tol * np.abs(expected).max()
 
 
 # --- fpc ---
