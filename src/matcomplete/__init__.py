@@ -18,13 +18,22 @@ from .data import (
     save_synthetic,
     split_holdout,
 )
-from .factored import FactoredMatrix, combine, frobenius_distance, project_entries, project_omega, scale
+from .factored import (
+    FactoredMatrix,
+    FactoredSum,
+    combine,
+    frobenius_distance,
+    project_entries,
+    project_omega,
+    scale,
+)
 from .observed import ObservedMatrix
 from .operators import SpLrOperator, assemble_iterate_operator
 from .shrinkage import fejer_slack, fixed_rank_step, make_spurious_fixed_point, soft_threshold
 from .solvers import (
     BUDGET_EXHAUSTED,
     CONVERGED,
+    DIVERGED,
     STALLED,
     PhaseOneResult,
     SolveResult,
@@ -48,7 +57,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BUDGET_EXHAUSTED",
     "CONVERGED",
+    "DIVERGED",
     "FactoredMatrix",
+    "FactoredSum",
     "ObservedMatrix",
     "PhaseOneResult",
     "RatingsDataset",

@@ -95,6 +95,45 @@ class FactoredMatrix:
         return (self.u * self.sigma) @ self.v.T
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredSum:
+    """The matrix ``alpha * f + beta * g``, its two factor pairs kept as they are.
+
+    Together the two pairs need not be orthonormal, so this is no
+    :class:`FactoredMatrix`; :func:`combine` refactors it into one.  It is
+    what a fill-in operator at a momentum point needs: products with vectors
+    through the stacked factors, and gathers by linearity.
+    """
+
+    alpha: float
+    f: FactoredMatrix
+    beta: float
+    g: FactoredMatrix
+
+    def __post_init__(self):
+        if self.f.shape != self.g.shape:
+            raise ValueError(f"shape mismatch: {self.f.shape} vs {self.g.shape}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.f.shape
+
+    @property
+    def k(self) -> int:
+        """Number of stored factor columns over both terms."""
+        return self.f.k + self.g.k
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(u, w, v)`` with ``u @ diag(w) @ v.T`` the sum; ``w`` may be negative."""
+        return (np.hstack((self.f.u, self.g.u)),
+                np.concatenate((self.alpha * self.f.sigma, self.beta * self.g.sigma)),
+                np.hstack((self.f.v, self.g.v)))
+
+    def dense(self) -> np.ndarray:
+        """Reconstruct the represented matrix (small sizes only)."""
+        return self.alpha * self.f.dense() + self.beta * self.g.dense()
+
+
 def project_entries(f: FactoredMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Entries ``f[rows[t], cols[t]]`` without forming the dense matrix.
 
@@ -148,10 +187,13 @@ def _checked_indices(shape: tuple[int, int], rows, cols) -> tuple[np.ndarray, np
     return rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
 
 
-def project_omega(f: FactoredMatrix, obs: ObservedMatrix) -> np.ndarray:
-    """Values of the represented matrix on the sampling set of ``obs``."""
+def project_omega(f: FactoredMatrix | FactoredSum, obs: ObservedMatrix) -> np.ndarray:
+    """Values of the represented matrix on the sampling set of ``obs``; a
+    :class:`FactoredSum` is gathered term by term."""
     if f.shape != obs.shape:
         raise ValueError(f"shape mismatch: factored {f.shape} vs observed {obs.shape}")
+    if isinstance(f, FactoredSum):
+        return f.alpha * project_omega(f.f, obs) + f.beta * project_omega(f.g, obs)
     return project_entries(f, obs.rows, obs.cols)
 
 

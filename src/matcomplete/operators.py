@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factored import FactoredMatrix, project_omega
+from .factored import FactoredMatrix, FactoredSum, project_omega
 from .observed import ObservedMatrix
 
 
@@ -19,11 +19,13 @@ class SpLrOperator:
     densified.  ``residual`` holds ``s`` aligned with the canonical entry
     order of ``obs``.  With the misfit ``s = obs.values - z[omega]`` this is
     the filled-in iterate ``z + P_omega(a - z)``; svt passes its sparse dual
-    at ``z = 0`` and fpc the step-scaled misfit.
+    at ``z = 0`` and fpc the step-scaled misfit.  At a momentum point ``z``
+    is a :class:`FactoredSum` of the two iterates, applied through their
+    stacked factors without refactoring them into one.
     """
 
     obs: ObservedMatrix
-    z: FactoredMatrix
+    z: FactoredMatrix | FactoredSum
     residual: np.ndarray
 
     dtype = np.float64
@@ -42,6 +44,9 @@ class SpLrOperator:
         # rmatvec's transpose, a CSC view on the same arrays; built once here,
         # since each .T builds a new matrix whose constructor scans the indices
         object.__setattr__(self, "_sparse_t", csr.T)
+        z = self.z
+        object.__setattr__(self, "_low_rank",
+                           z.stacked() if isinstance(z, FactoredSum) else (z.u, z.sigma, z.v))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -52,8 +57,9 @@ class SpLrOperator:
         if x.shape != (self.shape[1],):
             raise ValueError(f"expected a vector of length {self.shape[1]}, got {x.shape}")
         out = self._sparse @ x
-        if self.z.k:
-            out = out + self.z.u @ (self.z.sigma * (self.z.v.T @ x))
+        u, w, v = self._low_rank
+        if w.size:
+            out = out + u @ (w * (v.T @ x))
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
@@ -61,15 +67,17 @@ class SpLrOperator:
         if y.shape != (self.shape[0],):
             raise ValueError(f"expected a vector of length {self.shape[0]}, got {y.shape}")
         out = self._sparse_t @ y
-        if self.z.k:
-            out = out + self.z.v @ (self.z.sigma * (self.z.u.T @ y))
+        u, w, v = self._low_rank
+        if w.size:
+            out = out + v @ (w * (u.T @ y))
         return out
 
     def check_residual(self, tol: float = 1e-12) -> None:
         """Verify a misfit operator, ``s = obs.values - P_omega(z)``, against a
-        fresh gather: the operators of two_phase, phase_one/phase_two,
-        soft_impute, frsi, assemble_iterate_operator and fpc's lambda0 call.
-        svt's dual and fpc's step-scaled misfit are not misfits."""
+        fresh gather: the operators of two_phase, phase_one/phase_two (at
+        momentum points too, gathered term by term), soft_impute, frsi,
+        assemble_iterate_operator and fpc's lambda0 call.  svt's dual and
+        fpc's step-scaled misfit are not misfits."""
         fresh = self.obs.values - project_omega(self.z, self.obs)
         scale = max(np.abs(self.obs.values).max(initial=0.0), 1.0)
         dev = np.abs(fresh - self.residual).max(initial=0.0)

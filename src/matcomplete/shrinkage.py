@@ -40,7 +40,8 @@ def fixed_rank_step(
 
     Assembles ``y = P_omega(a) + P_omega_perp(x)``, computes its leading r+1
     singular triplets, and shrinks ``y`` by ``rho = sigma_{r+1}(y)`` so the
-    result has rank at most ``r``.  When ``min(m, n) <= r`` there is no
+    result has rank at most ``r``.  The (r+1)-th triplet is read only as that
+    value (``last_vector=False``), since the shrinkage sends it to zero.  When ``min(m, n) <= r`` there is no
     (r+1)-th value and ``rho = 0`` by convention.
 
     Returns
@@ -52,7 +53,7 @@ def fixed_rank_step(
         raise ValueError(f"shape mismatch: iterate {x.shape} vs observed {obs.shape}")
     p = min(obs.shape)
     op = assemble_iterate_operator(obs, x)
-    f = truncated_svd(op, min(r + 1, p))
+    f = truncated_svd(op, min(r + 1, p), last_vector=False)
     rho = float(f.sigma[r]) if r < p else 0.0
     return soft_threshold(f, rho), rho
 

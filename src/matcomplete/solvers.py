@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .factored import FactoredMatrix, combine, frobenius_distance, project_omega
+from .factored import FactoredMatrix, FactoredSum, combine, frobenius_distance, project_omega
 from .observed import ObservedMatrix, check_counts
 # assemble_iterate_operator is not called here; it stays bound in this module
 # because perfbench/spans.py traces it by rebinding solvers.assemble_iterate_operator
@@ -20,6 +20,7 @@ from .svd import DEFAULT_TOL, truncated_svd
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget-exhausted"
 STALLED = "stalled"
+DIVERGED = "diverged"
 
 # Iterate-change level below which the iteration is considered frozen; three
 # consecutive frozen steps without meeting the formal criterion mean a
@@ -37,6 +38,11 @@ _FPC_INNER_MAX = 100
 # sigma_1 and never tighter than DEFAULT_TOL: its stop test reads the residual
 # ratio only to eps_2, so digits far below that go unused.
 _SVT_SVD_ACCURACY = 1e-2
+
+# svt has diverged once its iterate misfits the data by this many times the
+# data's own norm (the zero matrix misfits it by exactly once): the dual then
+# grows geometrically until it overflows.
+_SVT_DIVERGED_RATIO = 1e4
 
 
 @dataclass(frozen=True)
@@ -173,7 +179,9 @@ class PhaseOneResult:
     ``first_iterate`` is ``S_rho`` of the filled-in momentum iterate ``z``,
     read off the SVD that the stop test has just computed: phase two's first
     step at ``lam = rho`` from ``z``.  It is None when phase one did not
-    stabilize.
+    stabilize.  ``z_misfit`` is ``a - P_omega(z)`` on the observed entries,
+    which the last fill-in operator carried by linearity; phase two takes it
+    instead of gathering ``z`` again.
     """
 
     z: FactoredMatrix
@@ -184,6 +192,7 @@ class PhaseOneResult:
     sigma_top: float
     trace: SolveTrace
     first_iterate: FactoredMatrix | None = None
+    z_misfit: np.ndarray | None = None
 
 
 class _StallDetector:
@@ -240,17 +249,24 @@ def _misfit(x: FactoredMatrix, obs: ObservedMatrix) -> np.ndarray:
 def _momentum_operator(obs, theta, x, misfit, x_prev, misfit_prev) -> SpLrOperator:
     """The fill-in operator at the momentum point ``(1+theta) x - theta x_prev``.
 
-    P_omega is linear, so the point's misfit is ``misfit + theta (misfit -
-    misfit_prev)`` and needs no gather.  It is built in the buffer of
-    ``misfit_prev``, which the caller must no longer need.
+    The point stays a :class:`FactoredSum` of the two iterates: only the
+    operator's products read it, so it is not refactored into one
+    orthonormal factorization.  P_omega is linear, so the point's misfit is
+    ``misfit + theta (misfit - misfit_prev)`` and needs no gather.  It is
+    built in the buffer of ``misfit_prev``, which the caller must no longer
+    need.
     """
     if theta == 0.0:
         return SpLrOperator(obs, x, misfit)
-    z = combine(1.0 + theta, x, -theta, x_prev)
     np.subtract(misfit, misfit_prev, out=misfit_prev)
     misfit_prev *= theta
     misfit_prev += misfit
-    return SpLrOperator(obs, z, misfit_prev)
+    return SpLrOperator(obs, FactoredSum(1.0 + theta, x, -theta, x_prev), misfit_prev)
+
+
+def _combined(z: FactoredMatrix | FactoredSum) -> FactoredMatrix:
+    """A momentum point as one orthonormal factorization."""
+    return combine(z.alpha, z.f, z.beta, z.g) if isinstance(z, FactoredSum) else z
 
 
 def _shrink_at_level(op, level, r_est, *, tol=DEFAULT_TOL, start=None):
@@ -266,10 +282,15 @@ def _shrink_at_level(op, level, r_est, *, tol=DEFAULT_TOL, start=None):
     ``level`` (the largest value shrunk to zero), else NaN.  ``f`` is the last
     SVD computed, before shrinking: it includes the triplet below ``level``.
 
-    Every SVD converges to ``tol * sigma_1``.  With ``start`` the first SVD
-    starts its Lanczos run from ``start`` and each regrowth starts from the
-    previous SVD's right factor summed over its columns, instead of throwing
-    that basis away; with ``start=None`` every SVD starts cold.
+    Every SVD converges to ``tol * sigma_1``, except for the vectors of its
+    last triplet (``last_vector=False``): that triplet is either shrunk to
+    zero, since its value lies below ``level`` or at most ``1e-15 sigma_1``
+    (a tie that :func:`soft_threshold` drops), or it comes from the full
+    decomposition (``kk == min(m, n)``), which is exact.  Its value stays
+    within ``tol * sigma_1``.  With ``start`` the first SVD starts its
+    Lanczos run from ``start`` and each regrowth starts from the previous
+    SVD's right factor summed over its columns, instead of throwing that
+    basis away; with ``start=None`` every SVD starts cold.
     """
     p = min(op.shape)
     cap = p - 1
@@ -277,7 +298,7 @@ def _shrink_at_level(op, level, r_est, *, tol=DEFAULT_TOL, start=None):
     grow = _RANK_BUMP
     while True:
         kk = min(r_try + 1, p)
-        f = truncated_svd(op, kk, tol=tol, start=start)
+        f = truncated_svd(op, kk, tol=tol, start=start, last_vector=False)
         s_last = f.sigma[-1]
         if kk == p or s_last < level or s_last <= f.sigma[0] * 1e-15 or r_try >= cap:
             break
@@ -317,7 +338,13 @@ def phase_one(
 
     Each SVD after the first starts its Lanczos run warm, from the previous
     SVD's right factor summed over its columns: consecutive fill-in matrices
-    differ little.
+    differ little.  Each converges its first r triplets to ``1e-10 sigma_1``
+    but reads the (r+1)-th only as a value (``last_vector=False``): ``rho``
+    feeds the stop test and the shrinkage that sends that triplet to zero.
+    The momentum point reaches the SVD as the two iterates' factor pairs
+    (:class:`FactoredSum`); it is refactored into one orthonormal
+    factorization only at the exit, as the returned ``z``, and for the
+    Fejer slack when ``ground_truth`` is given.
 
     Returns the last momentum iterate and stabilized rho, which seed the
     regularized second phase, plus the last thresholded iterate for callers
@@ -333,10 +360,9 @@ def phase_one(
     p = min(m, n)
     trace = trace if trace is not None else SolveTrace()
     obs_norm = _data_norm(obs)
-    z = FactoredMatrix.zero(m, n)
-    x_prev = z
+    x_prev = FactoredMatrix.zero(m, n)
     misfit_prev = obs.values
-    op = SpLrOperator(obs, z, misfit_prev)
+    op = SpLrOperator(obs, x_prev, misfit_prev)
     rho = 0.0
     rho_prev = math.inf
     sigma_top = 0.0
@@ -349,8 +375,7 @@ def phase_one(
 
     for j in range(1, w + 1):
         iterations = j
-        f = truncated_svd(op, min(r + 1, p), start=start)
-        del op  # its residual copy would only add to the peak during the gather
+        f = truncated_svd(op, min(r + 1, p), start=start, last_vector=False)
         start = f.v.sum(axis=1)
         rho = float(f.sigma[r]) if r < p else 0.0
         sigma_top = float(f.sigma[0]) if f.k else 0.0
@@ -362,11 +387,13 @@ def phase_one(
             trace.append(TraceRecord(j, 1, rho, math.nan, math.nan, math.nan,
                                      x_prev.rank, time.perf_counter() - t0))
             break
+        z = op.z
+        del op  # its residual copy would only add to the peak during the gather
         x_j = soft_threshold(f, rho)
         misfit = _misfit(x_j, obs)
         slack = math.nan
         if ground_truth is not None:
-            slack = fejer_slack(z, x_j, ground_truth, r, rho)
+            slack = fejer_slack(_combined(z), x_j, ground_truth, r, rho)
         trace.append(TraceRecord(
             j, 1, rho, math.nan,
             _ratio(float(np.linalg.norm(misfit)), obs_norm),
@@ -375,13 +402,12 @@ def phase_one(
         ))
         theta = momentum_coefficient(j, beta)
         op = _momentum_operator(obs, theta, x_j, misfit, x_prev, misfit_prev)
-        z = op.z
         x_prev = x_j
         misfit_prev = misfit
         rho_prev = rho
 
-    return PhaseOneResult(z, rho, x_prev, iterations, stabilized, sigma_top, trace,
-                          first_iterate)
+    return PhaseOneResult(_combined(op.z), rho, x_prev, iterations, stabilized, sigma_top,
+                          trace, first_iterate, op.residual)
 
 
 def phase_two(
@@ -396,6 +422,7 @@ def phase_two(
     trace: SolveTrace | None = None,
     phase: int = 2,
     first_iterate: FactoredMatrix | None = None,
+    x0_misfit: np.ndarray | None = None,
 ) -> SolveResult:
     """Accelerated proximal iteration for the fixed-lam regularized problem.
 
@@ -414,7 +441,9 @@ def phase_two(
     from phase one's exit SVD.  The first iteration then takes it instead of
     building that operator and computing its SVD again; it still counts as
     an iteration, and its trace record reports ``lam`` as the largest value
-    shrunk to zero.
+    shrunk to zero.  ``x0_misfit``, when given, must be ``a - P_omega(x0)``
+    on the observed entries (``PhaseOneResult.z_misfit``); it replaces the
+    gather of ``x0``.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
@@ -426,11 +455,15 @@ def phase_two(
     if first_iterate is not None and first_iterate.shape != obs.shape:
         raise ValueError(f"shape mismatch: first iterate {first_iterate.shape} "
                          f"vs observed {obs.shape}")
+    if x0_misfit is not None and np.shape(x0_misfit) != obs.values.shape:
+        raise ValueError(f"x0_misfit must hold one value per observed entry ({obs.nnz}), "
+                         f"got shape {np.shape(x0_misfit)}")
     trace = trace if trace is not None else SolveTrace()
     first = len(trace)
     obs_norm = _data_norm(obs)
     x_prev = x0
-    misfit_prev = _misfit(x0, obs)
+    # the first step has theta = 0, so this buffer is never written into
+    misfit_prev = _misfit(x0, obs) if x0_misfit is None else x0_misfit
     f_prev = _objective_value(misfit_prev, x0, lam)
     # op is None at the top of the loop only when the first step is handed in
     op = None if first_iterate is not None else SpLrOperator(obs, x0, misfit_prev)
@@ -495,8 +528,10 @@ def two_phase(
     value to numerical zero (1e-12 times the leading one) the filled matrix
     has rank at most r and the last warm-start iterate is returned as
     converged.  Otherwise phase two's first iterate is the one phase one read
-    off its exit SVD (``PhaseOneResult.first_iterate``), so the solve makes
-    one SVD call fewer than it has iterations when phase one stabilizes.
+    off its exit SVD (``PhaseOneResult.first_iterate``), and its start's
+    misfit the one phase one carried (``PhaseOneResult.z_misfit``), so the
+    solve makes one SVD call and one gather fewer than it has iterations
+    when phase one stabilizes.
     """
     trace = SolveTrace()
     p1 = phase_one(obs, config.r, config.eps_rho, config.w, config.beta,
@@ -505,7 +540,7 @@ def two_phase(
         return SolveResult(p1.x_last, p1.iterations, CONVERGED, trace,
                            phase_split=(p1.iterations, 0))
     p2 = phase_two(obs, config.r, p1.rho, p1.z, config.eps_lambda, config.it_max, trace=trace,
-                   first_iterate=p1.first_iterate)
+                   first_iterate=p1.first_iterate, x0_misfit=p1.z_misfit)
     total = p1.iterations + p2.iterations
     return SolveResult(p2.x, total, p2.status, trace,
                        phase_split=(p1.iterations, p2.iterations))
@@ -544,7 +579,7 @@ def frsi(
     for k in range(1, it_max + 1):
         iterations = k
         # the fixed-rank step, on the misfit carried over from the last pass
-        f = truncated_svd(SpLrOperator(obs, x, misfit), min(r + 1, p))
+        f = truncated_svd(SpLrOperator(obs, x, misfit), min(r + 1, p), last_vector=False)
         rho = float(f.sigma[r]) if r < p else 0.0
         x_next = soft_threshold(f, rho)
         misfit = _misfit(x_next, obs)
@@ -583,7 +618,10 @@ def svt(
     at the fixed threshold ``tau``, which follows common practice: ``tau =
     5n`` for square problems and ``8 sqrt(mn)`` otherwise.  ``step`` defaults
     to ``1.2 mn / nnz``; pass ``step=1.99`` for the conservative choice.
-    Stops when the omega residual ratio reaches ``eps_2``.
+    Stops when the omega residual ratio reaches ``eps_2``.  A step too
+    large for the sampling makes the dual grow geometrically; once the
+    residual ratio exceeds ``1e4`` (or is not finite) svt stops with status
+    ``diverged`` and the iterate of that pass, before anything overflows.
 
     Its SVDs converge to ``max(1e-2 eps_2, 1e-10) * sigma_1`` rather than
     ``1e-10 * sigma_1``: the stop test reads the residual ratio only to
@@ -633,6 +671,9 @@ def svt(
         dual_move = step * float(np.linalg.norm(misfit)) / max(1.0, float(np.linalg.norm(y)))
         frozen = stall.update(max(change, dual_move))
         x = x_next
+        if not resid <= _SVT_DIVERGED_RATIO:
+            status = DIVERGED
+            break
         if resid <= eps_2:
             status = CONVERGED
             break
@@ -672,7 +713,7 @@ def fpc(
     obs_norm = _data_norm(obs)
     if lambda0 is None:
         sparse_op = SpLrOperator(obs, FactoredMatrix.zero(m, n), obs.values)
-        lambda0 = float(truncated_svd(sparse_op, 1).sigma[0])
+        lambda0 = float(truncated_svd(sparse_op, 1, last_vector=False).sigma[0])
     if not lambda0 >= 0:
         raise ValueError("lambda0 must be nonnegative")
 

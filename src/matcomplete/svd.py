@@ -1,7 +1,8 @@
 """Truncated SVD of implicit operators via Lanczos bidiagonalization.
 
-The driver runs Golub-Kahan-Lanczos bidiagonalization with two-pass classical
-Gram-Schmidt reorthogonalization at every step and thick restarting that
+The driver runs Golub-Kahan-Lanczos bidiagonalization with full classical
+Gram-Schmidt reorthogonalization at every step, its second pass run only when
+the first one needs it (the DGKS criterion), and thick restarting that
 retains the leading Ritz triplets plus the coupling vector.  It only touches
 the operator through ``matvec``/``rmatvec``, so sparse-plus-low-rank iterates
 are never densified.
@@ -20,6 +21,12 @@ _BREAKDOWN_REL = 1e-13
 # weight of the seeded Gaussian mixed into a warm start vector, so that every
 # direction, not only the previous factor's span, enters the Krylov space
 _WARM_PERTURBATION = 0.01
+# a value-only k-th triplet is accepted once the refined bound res^2 / (gap -
+# res) puts its value within this fraction of tol * sigma_1
+_VALUE_BOUND_FRACTION = 0.1
+# Daniel, Gragg, Kaufman & Stewart (Math. Comp. 1976): Gram-Schmidt needs a
+# second pass only when the first kept less than this share of the norm
+_DGKS_KEEP = 1.0 / np.sqrt(2.0)
 
 
 class TruncatedSvdError(RuntimeError):
@@ -54,15 +61,25 @@ def dense_svd(a: np.ndarray) -> FactoredMatrix:
 
 
 def _orthogonalize(w, basis, j):
-    """Two-pass classical Gram-Schmidt of w against basis[:, :j]."""
+    """Classical Gram-Schmidt of w against basis[:, :j]: ``(w, coefficients, ||w||)``.
+
+    A second pass runs only when the first one kept less than ``1/sqrt(2)``
+    of the norm: only then can cancellation have left w measurably out of
+    orthogonality.
+    """
     if j == 0:
-        return w, np.zeros(0)
+        return w, np.zeros(0), float(np.linalg.norm(w))
     b = basis[:, :j]
+    before = np.linalg.norm(w)
     c = b.T @ w
     w = w - b @ c
-    c2 = b.T @ w
-    w = w - b @ c2
-    return w, c + c2
+    after = np.linalg.norm(w)
+    if after < _DGKS_KEEP * before:
+        c2 = b.T @ w
+        w = w - b @ c2
+        c = c + c2
+        after = np.linalg.norm(w)
+    return w, c, float(after)
 
 
 def _fresh_direction(rng, basis, j, size):
@@ -71,8 +88,7 @@ def _fresh_direction(rng, basis, j, size):
         return None
     for _ in range(5):
         w = rng.standard_normal(size)
-        w, _ = _orthogonalize(w, basis, j)
-        nrm = np.linalg.norm(w)
+        w, _, nrm = _orthogonalize(w, basis, j)
         if nrm > 1e-6 * np.sqrt(size):
             return w / nrm
     return None
@@ -97,8 +113,27 @@ def _repair_null_columns(factor, sigma, rng):
         factor[:, i] = 0.0 if fresh is None else fresh
 
 
+def _value_certified(s, residuals, k, bound):
+    """Whether the refined bound puts the k-th Ritz value within
+    ``_VALUE_BOUND_FRACTION * bound`` of a singular value.
+
+    The bound ``res^2 / (gap - res)``, with ``gap`` the distance to the
+    neighbouring Ritz values, holds only once a lower Ritz value exists and
+    the gap exceeds the residual; otherwise this returns False and the
+    residual test decides.
+    """
+    i = k - 1
+    if s.size <= k:
+        return False
+    gap = s[i] - s[k]
+    if i:
+        gap = min(gap, s[i - 1] - s[i])
+    res = residuals[i]
+    return gap > res and res * res / (gap - res) <= _VALUE_BOUND_FRACTION * bound
+
+
 def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = None, *,
-                  start: np.ndarray | None = None) -> FactoredMatrix:
+                  start: np.ndarray | None = None, last_vector: bool = True) -> FactoredMatrix:
     """Leading ``k`` singular triplets of a matrix-free operator.
 
     Parameters
@@ -121,6 +156,18 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         seeded Gaussian a cold call starts from, so every direction stays in
         the Krylov space; the result is deterministic and meets the same
         ``tol``.  Without ``start`` the run starts from ``g`` alone.
+    last_vector : bool
+        With the default True every triplet meets the residual test.  With
+        False only the first ``k - 1`` do; the k-th is accepted as soon as
+        its *value* is certified by the refined bound ``res_k^2 / (gap -
+        res_k) <= 0.1 * tol * sigma_1``, where ``gap`` is the distance to the
+        neighbouring Ritz values (the residual test still accepts it when
+        that comes first, and decides alone while ``gap <= res_k`` or no
+        lower Ritz value exists yet).  Its value stays within ``tol *
+        sigma_1``, but its vectors are not converged: for callers that read
+        the k-th triplet only as a number, such as a shrinkage level, and
+        shrink it away.  The full decomposition (``k = min(m, n)``) is exact
+        either way.
     """
     m, n = op.shape
     p = min(m, n)
@@ -169,8 +216,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     while True:
         # expand the left basis with A v_j
         w = op.matvec(bv[:, j])
-        w, g = _orthogonalize(w, bu, j)
-        alpha = float(np.linalg.norm(w))
+        w, g, alpha = _orthogonalize(w, bu, j)
         scale = max(scale, alpha)
         if alpha > scale * _BREAKDOWN_REL:
             bu[:, j] = w / alpha
@@ -184,8 +230,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
 
         # expand the right basis with A^T u_j
         w = op.rmatvec(bu[:, j])
-        w, _ = _orthogonalize(w, bv, j + 1)
-        beta = float(np.linalg.norm(w))
+        w, _, beta = _orthogonalize(w, bv, j + 1)
         scale = max(scale, beta)
         if beta > scale * _BREAKDOWN_REL:
             bv[:, j + 1] = w / beta
@@ -221,6 +266,8 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         sref = max(s[0] if s.size else 0.0, np.finfo(float).tiny)
         residuals = beta * np.abs(pl[j - 1, :])
         converged = residuals <= tol * sref
+        if not last_vector and not converged[k - 1]:
+            converged[k - 1] = _value_certified(s, residuals, k, tol * sref)
         if converged[:k].all():
             return extract(pl, s, prt, k)
         if steps >= max_steps:

@@ -8,6 +8,7 @@ present (MOVIELENS_100K env var or ./data/ml-100k/u.data).
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def report(criterion, passed, detail):
 
 
 def read_rows(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 

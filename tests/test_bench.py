@@ -12,7 +12,7 @@ from matcomplete.cli import main
 
 
 def read_csv_rows(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
 

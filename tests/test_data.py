@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ def test_synthetic_round_trip(tmp_path):
     assert np.array_equal(back.obs.values, inst.obs.values)
     assert back.seed == 4 and back.r == 2
     # tampering with the stored entries must be detected
-    lines = open(base + ".obs.txt").read().splitlines()
+    lines = Path(base + ".obs.txt").read_text().splitlines()
     lines[1] = "0 0 99.0"
     with open(base + ".obs.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")

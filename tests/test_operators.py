@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from matcomplete import FactoredMatrix, ObservedMatrix, SpLrOperator, assemble_iterate_operator, project_omega
+from matcomplete import (
+    FactoredMatrix,
+    FactoredSum,
+    ObservedMatrix,
+    SpLrOperator,
+    assemble_iterate_operator,
+    combine,
+    project_omega,
+)
 
 from conftest import full_observed, random_factored, random_observed
 
@@ -164,3 +172,31 @@ def test_matvec_is_deterministic(rng):
     a = assemble_iterate_operator(obs, z).matvec(x)
     b = assemble_iterate_operator(obs, z).matvec(x)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("m, n, theta", [(40, 30, 0.7), (25, 60, 0.05), (50, 50, 0.93)])
+def test_momentum_operator_matches_the_combined_operator(rng, m, n, theta):
+    # the momentum point (1+theta) x - theta x_prev applied through the two
+    # factor pairs as they are, against its orthonormal refactorization
+    obs = random_observed(rng, m, n, 0.3)
+    x, x_prev = random_factored(rng, m, n, 4), random_factored(rng, m, n, 3)
+    point = FactoredSum(1.0 + theta, x, -theta, x_prev)
+    combined = combine(1.0 + theta, x, -theta, x_prev)
+    assert point.shape == (m, n) and point.k == 7
+    misfit = obs.values - project_omega(point, obs)
+    assert np.abs(misfit - (obs.values - project_omega(combined, obs))).max() <= 1e-12 * combined.sigma[0]
+    lazy = SpLrOperator(obs, point, misfit)
+    eager = SpLrOperator(obs, combined, misfit)
+    lazy.check_residual(1e-12)
+    for _ in range(5):
+        xv, yv = rng.standard_normal(n), rng.standard_normal(m)
+        for got, want in ((lazy.matvec(xv), eager.matvec(xv)), (lazy.rmatvec(yv), eager.rmatvec(yv))):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.abs(lazy.dense() - eager.dense()).max() <= 1e-12 * np.abs(eager.dense()).max()
+    with pytest.raises(ValueError, match="stale residual"):
+        SpLrOperator(obs, point, misfit + 1e-6).check_residual()
+
+
+def test_factored_sum_rejects_mismatched_terms(rng):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        FactoredSum(1.5, random_factored(rng, 6, 5, 2), -0.5, random_factored(rng, 5, 6, 2))

@@ -277,3 +277,98 @@ def test_huge_start_does_not_overflow(rng):
     start = np.full(10, 1e300)
     f = truncated_svd(op, 2, start=start)
     assert np.allclose(f.sigma, dense_svd(op.dense()).sigma[:2], rtol=1e-10)
+
+
+# --- value-only last triplet ---
+
+
+class _CountingOperator:
+    """Counts the Lanczos steps (matvecs) a call takes on ``op``."""
+
+    def __init__(self, op):
+        self.op, self.shape, self.steps = op, op.shape, 0
+
+    def matvec(self, x):
+        self.steps += 1
+        return self.op.matvec(x)
+
+    def rmatvec(self, y):
+        return self.op.rmatvec(y)
+
+
+def test_value_only_last_triplet_matches_dense_oracle():
+    # 120 random operators, large enough that the Lanczos run stops before
+    # the full decomposition; tol 1e-10, 1e-8 and 1e-6, cold and warm
+    rng = np.random.default_rng(2024)
+    worst_value = worst_residual = 0.0
+    steps = {True: 0, False: 0}
+    for trial in range(120):
+        m, n = int(rng.integers(40, 121)), int(rng.integers(40, 121))
+        op = splr_op(rng, m, n, int(rng.integers(1, 8)), 0.2)
+        k = int(rng.integers(1, 9))
+        tol = (1e-10, 1e-8, 1e-6)[trial % 3]
+        start = rng.standard_normal(n) if trial % 2 else None
+        oracle = dense_svd(op.dense())
+        s1 = oracle.sigma[0]
+        for last_vector in (True, False):
+            counted = _CountingOperator(op)
+            f = truncated_svd(counted, k, tol=tol, start=start, last_vector=last_vector)
+            steps[last_vector] += counted.steps
+        f.validate(1e-12)
+        worst_value = max(worst_value, np.abs(f.sigma - oracle.sigma[:k]).max() / (tol * s1))
+        for i in range(k - 1):
+            res = max(np.linalg.norm(op.matvec(f.v[:, i]) - f.sigma[i] * f.u[:, i]),
+                      np.linalg.norm(op.rmatvec(f.u[:, i]) - f.sigma[i] * f.v[:, i]))
+            worst_residual = max(worst_residual, res / (tol * s1))
+    # every value within tol * sigma_1 (the k-th to 0.1 tol by its bound), the
+    # first k - 1 triplets within the residual contract up to roundoff
+    assert worst_value <= 1.0
+    assert worst_residual <= 1.0 + 1e-2
+    # the k-th triplet's vectors are not converged, which saves steps
+    assert steps[False] < 0.95 * steps[True]
+
+
+def test_value_only_full_decomposition_is_the_default_one(rng):
+    op = splr_op(rng, 30, 24, 3, 0.3)
+    a = truncated_svd(op, 24)
+    b = truncated_svd(op, 24, last_vector=False)
+    for x, y in ((a.u, b.u), (a.sigma, b.sigma), (a.v, b.v)):
+        assert np.array_equal(x, y)
+
+
+# --- Gram-Schmidt ---
+
+
+def test_second_gram_schmidt_pass_runs_only_when_needed(rng):
+    basis, _ = np.linalg.qr(rng.standard_normal((50, 8)))
+    # mostly outside the span: one pass, whose coefficients are returned as they are
+    w = rng.standard_normal(50)
+    out, c, norm = svd._orthogonalize(w, basis, 8)
+    assert np.array_equal(c, basis.T @ w)
+    assert np.array_equal(out, w - basis @ c)
+    assert norm == np.linalg.norm(out)
+    # 1e-10 of its norm outside the span: one pass would leave it about 1e-6
+    # out of orthogonality, the second pass brings it to roundoff
+    inside = basis @ rng.standard_normal(8)
+    g = rng.standard_normal(50)
+    g -= basis @ (basis.T @ g)
+    w = inside + 1e-10 * np.linalg.norm(inside) * g / np.linalg.norm(g)
+    out, c, norm = svd._orthogonalize(w, basis, 8)
+    assert np.abs(basis.T @ out).max() <= 1e-12 * norm
+    assert norm == np.linalg.norm(out)
+
+
+@pytest.mark.parametrize("last_vector", [True, False])
+def test_factors_stay_orthonormal_on_clustered_singular_values(last_vector):
+    # ten singular values within 1e-9 of each other, then a slow decay: the
+    # hardest case for reorthogonalizing with a single pass
+    rng = np.random.default_rng(77)
+    m, n = 160, 130
+    u, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sigma = np.r_[1.0 + 1e-9 * np.arange(10)[::-1], 0.5 * 0.97 ** np.arange(n - 10)]
+    a = (u * sigma) @ v.T
+    op = assemble_iterate_operator(full_observed(a), FactoredMatrix.zero(m, n))
+    f = truncated_svd(op, 14, last_vector=last_vector)
+    f.validate(1e-12)
+    assert np.abs(f.sigma - sigma[:14]).max() <= 1e-10
