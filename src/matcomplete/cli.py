@@ -27,18 +27,19 @@ def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _default_out() -> str:
-    return os.environ.get(OUT_DIR_ENV, "bench-out")
-
-
-def _add_common(parser):
-    parser.add_argument("--out-dir", default=None,
+def _add_out_dir(parser):
+    parser.add_argument("--out-dir", default=os.environ.get(OUT_DIR_ENV, "bench-out"),
                         help=f"output directory (default: ${OUT_DIR_ENV} or ./bench-out)")
-    parser.add_argument("--tol-bundle", choices=sorted(TOLERANCE_BUNDLES), default=None,
-                        help="named tolerance bundle")
-    parser.add_argument("--w", type=int, default=None, help="warm-start iteration budget")
+
+
+def _add_solver_options(parser, bundle: str):
+    """The options of the commands that run the solvers with a tolerance bundle."""
+    parser.add_argument("--tol-bundle", choices=sorted(TOLERANCE_BUNDLES), default=bundle,
+                        help=f"named tolerance bundle (default: {bundle})")
+    parser.add_argument("--w", type=int, default=500, help="warm-start iteration budget")
     parser.add_argument("--it-max", type=int, default=500, help="main iteration budget")
-    parser.add_argument("--beta", default=None, help="momentum parameter (comma list for beta-sweep)")
+    parser.add_argument("--beta", type=float, default=2.0, help="momentum parameter")
+    _add_out_dir(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5, help="number of seeds (0..seeds-1)")
     p.add_argument("--methods", type=_methods_list, default=list(METHODS))
     p.add_argument("--threads", type=int, default=1, help="parallel worker processes")
-    _add_common(p)
+    _add_solver_options(p, "paper-synth")
 
     p = sub.add_parser("beta-sweep", help="warm-start iterations across a momentum grid")
     p.add_argument("--n", type=int, required=True)
@@ -64,7 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps-rho", type=float, default=1e-8)
-    _add_common(p)
+    p.add_argument("--w", type=int, default=1000, help="warm-start iteration budget")
+    p.add_argument("--beta", type=_float_list, default=[float(b) for b in range(2, 31)],
+                   help="comma list of momentum parameters (default: 2, 3, ..., 30)")
+    _add_out_dir(p)
 
     p = sub.add_parser("movielens", help="holdout benchmark on a MovieLens ratings file")
     p.add_argument("--dataset", required=True, help="path to the ratings file")
@@ -73,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", type=_methods_list, default=list(METHODS))
     p.add_argument("--holdout", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_solver_options(p, "paper-ml")
 
     p = sub.add_parser("trace", help="per-iteration trace of one solve")
     p.add_argument("--method", choices=METHODS, required=True)
@@ -85,43 +89,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("ml100k", "ml1m"), default="ml100k")
     p.add_argument("--ground-truth", action="store_true",
                    help="record the fejer slack column (synthetic instances only)")
-    _add_common(p)
+    _add_solver_options(p, "paper-synth")
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out_dir = args.out_dir or _default_out()
     try:
         if args.command == "synth":
             return run_synth(
-                out_dir, args.n, args.r, args.p, seeds=args.seeds,
-                methods=args.methods, beta=float(args.beta) if args.beta else 2.0,
-                w=500 if args.w is None else args.w, it_max=args.it_max,
-                bundle=args.tol_bundle or "paper-synth", threads=args.threads,
+                args.out_dir, args.n, args.r, args.p, seeds=args.seeds, methods=args.methods,
+                beta=args.beta, w=args.w, it_max=args.it_max, bundle=args.tol_bundle,
+                threads=args.threads,
             )
         if args.command == "beta-sweep":
-            betas = _float_list(args.beta) if args.beta else [float(b) for b in range(2, 31)]
-            return run_beta_sweep(
-                out_dir, args.n, args.r, args.p, betas,
-                w=1000 if args.w is None else args.w, eps_rho=args.eps_rho, seed=args.seed,
-            )
+            return run_beta_sweep(args.out_dir, args.n, args.r, args.p, args.beta, w=args.w,
+                                  eps_rho=args.eps_rho, seed=args.seed)
         if args.command == "movielens":
             return run_movielens(
-                out_dir, args.dataset, args.format, methods=args.methods,
-                ranks=args.r, beta=float(args.beta) if args.beta else 2.0,
-                w=500 if args.w is None else args.w, it_max=args.it_max,
-                bundle=args.tol_bundle or "paper-ml",
+                args.out_dir, args.dataset, args.format, methods=args.methods, ranks=args.r,
+                beta=args.beta, w=args.w, it_max=args.it_max, bundle=args.tol_bundle,
                 holdout=args.holdout, seed=args.seed,
             )
         if args.command == "trace":
             return run_trace(
-                out_dir, args.method, n=args.n, r=args.r, p=args.p, seed=args.seed,
+                args.out_dir, args.method, n=args.n, r=args.r, p=args.p, seed=args.seed,
                 dataset=args.dataset, fmt=args.format, ground_truth=args.ground_truth,
-                beta=float(args.beta) if args.beta else 2.0,
-                w=500 if args.w is None else args.w, it_max=args.it_max,
-                bundle=args.tol_bundle or "paper-synth",
+                beta=args.beta, w=args.w, it_max=args.it_max, bundle=args.tol_bundle,
             )
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

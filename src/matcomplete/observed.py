@@ -21,6 +21,14 @@ def check_counts(**counts) -> None:
             raise ValueError(f"{name} must be at least 1, got {value}")
 
 
+def check_positive(**values) -> None:
+    """Reject any value (tolerance, weight, step) that is not greater than 0,
+    NaN included.  The message starts with the value's name."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class ObservedMatrix:
     """Known entries of an m-by-n matrix, indexed by the sampling set omega.

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factored import FactoredMatrix, frobenius_distance
-from .observed import ObservedMatrix, check_counts
+from .observed import ObservedMatrix, check_counts, check_positive
 from .operators import assemble_iterate_operator
 from .svd import truncated_svd
 
@@ -107,8 +107,7 @@ def make_spurious_fixed_point(
     -------
     (x, gradient) : the factored iterate and the dense injected gradient.
     """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    check_positive(gamma=gamma)
     p = min(m, n)
     check_counts(r=r)
     if r + 1 > p:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .factored import FactoredMatrix, FactoredSum, combine, frobenius_distance, project_omega
-from .observed import ObservedMatrix, check_counts
+from .observed import ObservedMatrix, check_counts, check_positive
 # assemble_iterate_operator is not called here; it stays bound in this module
 # because perfbench/spans.py traces it by rebinding solvers.assemble_iterate_operator
 from .operators import SpLrOperator, assemble_iterate_operator  # noqa: F401
@@ -69,11 +69,10 @@ class SolverConfig:
     def __post_init__(self):
         # each message starts with the field's name, which from_text reads
         check_counts(r=self.r, w=self.w, it_max=self.it_max)
-        for name in ("eps_rho", "eps_1", "eps_2", "eps_3", "eps_lambda", "beta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.step_svt is not None and not self.step_svt > 0:
-            raise ValueError("step_svt must be positive when given")
+        check_positive(eps_rho=self.eps_rho, eps_1=self.eps_1, eps_2=self.eps_2,
+                       eps_3=self.eps_3, eps_lambda=self.eps_lambda, beta=self.beta)
+        if self.step_svt is not None:
+            check_positive(step_svt=self.step_svt)
 
     def to_text(self) -> str:
         """Flat ``key = value`` serialization, one line per field; None
@@ -127,7 +126,8 @@ class SolverConfig:
 
 @dataclass
 class TraceRecord:
-    """Per-iteration diagnostics; unavailable quantities are NaN."""
+    """Per-iteration diagnostics; unavailable quantities are NaN.  ``iteration``
+    counts from 1 within the trace, and ``time_s`` from the trace's creation."""
 
     iteration: int
     phase: int
@@ -142,10 +142,24 @@ class TraceRecord:
 
 @dataclass
 class SolveTrace:
-    records: list[TraceRecord] = field(default_factory=list)
+    """The per-iteration records of one solve.
 
-    def append(self, record: TraceRecord) -> None:
+    Its clock starts when the trace is created.  A solver creates its trace
+    before its first SVD, and :func:`two_phase` hands one trace to both
+    phases, so ``time_s`` counts from the start of the solve throughout.
+    """
+
+    records: list[TraceRecord] = field(default_factory=list)
+    t0: float = field(init=False, default_factory=time.perf_counter)
+
+    def append(self, phase: int, rho: float, f_lambda: float, rel_residual: float,
+               rel_change: float, rank: int, fejer_slack: float = math.nan) -> TraceRecord:
+        """Add the next record, numbered after those already here and stamped
+        with the time since the trace was created; returns it."""
+        record = TraceRecord(len(self.records) + 1, phase, rho, f_lambda, rel_residual,
+                             rel_change, rank, time.perf_counter() - self.t0, fejer_slack)
         self.records.append(record)
+        return record
 
     def __len__(self) -> int:
         return len(self.records)
@@ -195,15 +209,38 @@ class PhaseOneResult:
     z_misfit: np.ndarray | None = None
 
 
-class _StallDetector:
-    """Flags three consecutive iterate changes below the freeze level."""
+class _Progress:
+    """One solver's per-iteration bookkeeping, built before its first SVD so
+    that data whose norm overflows fails first: each new iterate's misfit and
+    trace record, and the run of consecutive frozen steps."""
 
-    def __init__(self):
-        self.count = 0
+    def __init__(self, obs: ObservedMatrix, trace: SolveTrace | None = None):
+        self.obs = obs
+        self.obs_norm = _data_norm(obs)
+        self.trace = trace if trace is not None else SolveTrace()
+        self._first = len(self.trace)
+        self._frozen_runs = 0
 
-    def update(self, change: float) -> bool:
-        self.count = self.count + 1 if change < _STALL_LEVEL else 0
-        return self.count >= _STALL_RUNS
+    @property
+    def iterations(self) -> int:
+        """The records this solver appended, after any an earlier phase left."""
+        return len(self.trace) - self._first
+
+    def step(self, x, phase, rho, change, *, lam=None, slack=math.nan):
+        """Gather the new iterate ``x`` and record it: ``(misfit, record)``.
+
+        ``misfit`` is ``a - P_omega(x)``; the record carries its ratio to the
+        data's norm and, when ``lam`` is given, the objective at ``lam``.
+        """
+        misfit = _misfit(x, self.obs)
+        f = math.nan if lam is None else _objective_value(misfit, x, lam)
+        resid = _ratio(float(np.linalg.norm(misfit)), self.obs_norm)
+        return misfit, self.trace.append(phase, rho, f, resid, change, x.rank, slack)
+
+    def frozen(self, change: float) -> bool:
+        """Whether ``change`` is the third in a row below the freeze level."""
+        self._frozen_runs = self._frozen_runs + 1 if change < _STALL_LEVEL else 0
+        return self._frozen_runs >= _STALL_RUNS
 
 
 def momentum_coefficient(step: int, beta: float) -> float:
@@ -354,12 +391,10 @@ def phase_one(
     iterate instead of computing the same SVD again.
     """
     check_counts(r=r, w=w)
-    if not eps_rho > 0 or not beta > 0:
-        raise ValueError("need eps_rho > 0 and beta > 0")
+    check_positive(eps_rho=eps_rho, beta=beta)
     m, n = obs.shape
     p = min(m, n)
-    trace = trace if trace is not None else SolveTrace()
-    obs_norm = _data_norm(obs)
+    progress = _Progress(obs, trace)
     x_prev = FactoredMatrix.zero(m, n)
     misfit_prev = obs.values
     op = SpLrOperator(obs, x_prev, misfit_prev)
@@ -370,11 +405,8 @@ def phase_one(
     stabilized = False
     first_iterate = None
     start = None
-    iterations = 0
-    t0 = time.perf_counter()
 
     for j in range(1, w + 1):
-        iterations = j
         f = truncated_svd(op, min(r + 1, p), start=start, last_vector=False)
         start = f.v.sum(axis=1)
         rho = float(f.sigma[r]) if r < p else 0.0
@@ -384,30 +416,24 @@ def phase_one(
         if math.isfinite(rho_prev) and abs(rho - rho_prev) / (anchor + rho_prev) < eps_rho:
             stabilized = True
             first_iterate = soft_threshold(f, rho)
-            trace.append(TraceRecord(j, 1, rho, math.nan, math.nan, math.nan,
-                                     x_prev.rank, time.perf_counter() - t0))
+            progress.trace.append(1, rho, math.nan, math.nan, math.nan, x_prev.rank)
             break
         z = op.z
         del op  # its residual copy would only add to the peak during the gather
         x_j = soft_threshold(f, rho)
-        misfit = _misfit(x_j, obs)
         slack = math.nan
         if ground_truth is not None:
             slack = fejer_slack(_combined(z), x_j, ground_truth, r, rho)
-        trace.append(TraceRecord(
-            j, 1, rho, math.nan,
-            _ratio(float(np.linalg.norm(misfit)), obs_norm),
-            _ratio(frobenius_distance(x_j, x_prev), x_prev.norm()),
-            x_j.rank, time.perf_counter() - t0, slack,
-        ))
+        change = _ratio(frobenius_distance(x_j, x_prev), x_prev.norm())
+        misfit, _ = progress.step(x_j, 1, rho, change, slack=slack)
         theta = momentum_coefficient(j, beta)
         op = _momentum_operator(obs, theta, x_j, misfit, x_prev, misfit_prev)
         x_prev = x_j
         misfit_prev = misfit
         rho_prev = rho
 
-    return PhaseOneResult(_combined(op.z), rho, x_prev, iterations, stabilized, sigma_top,
-                          trace, first_iterate, op.residual)
+    return PhaseOneResult(_combined(op.z), rho, x_prev, progress.iterations, stabilized,
+                          sigma_top, progress.trace, first_iterate, op.residual)
 
 
 def phase_two(
@@ -445,11 +471,8 @@ def phase_two(
     on the observed entries (``PhaseOneResult.z_misfit``); it replaces the
     gather of ``x0``.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
     check_counts(r=r, it_max=it_max)
-    if not eps_lambda > 0:
-        raise ValueError("eps_lambda must be positive")
+    check_positive(lam=lam, eps_lambda=eps_lambda)
     if x0.shape != obs.shape:
         raise ValueError(f"shape mismatch: start {x0.shape} vs observed {obs.shape}")
     if first_iterate is not None and first_iterate.shape != obs.shape:
@@ -458,9 +481,7 @@ def phase_two(
     if x0_misfit is not None and np.shape(x0_misfit) != obs.values.shape:
         raise ValueError(f"x0_misfit must hold one value per observed entry ({obs.nnz}), "
                          f"got shape {np.shape(x0_misfit)}")
-    trace = trace if trace is not None else SolveTrace()
-    first = len(trace)
-    obs_norm = _data_norm(obs)
+    progress = _Progress(obs, trace)
     x_prev = x0
     # the first step has theta = 0, so this buffer is never written into
     misfit_prev = _misfit(x0, obs) if x0_misfit is None else x0_misfit
@@ -470,48 +491,33 @@ def phase_two(
     best_f, best_x = f_prev, x0
     r_est = r
     status = BUDGET_EXHAUSTED
-    stall = _StallDetector()
-    iterations = 0
-    x_final = x0
-    t0 = time.perf_counter()
 
     for k in range(1, it_max + 1):
-        iterations = k
         if op is None:
             x_k, sigma_beyond = first_iterate, lam
         else:
             x_k, sigma_beyond, _ = _shrink_at_level(op, lam, r_est)
         op = None
         r_est = x_k.rank
-        misfit = _misfit(x_k, obs)
-        f_k = _objective_value(misfit, x_k, lam)
-        dist = frobenius_distance(x_k, x_prev)
-        change = _ratio(dist, x_prev.norm())
-        crit = min(_ratio(abs(f_prev - f_k), f_prev), change)
-        trace.append(TraceRecord(
-            first + k, phase, sigma_beyond, f_k,
-            _ratio(float(np.linalg.norm(misfit)), obs_norm), change,
-            x_k.rank, time.perf_counter() - t0,
-        ))
+        change = _ratio(frobenius_distance(x_k, x_prev), x_prev.norm())
+        misfit, record = progress.step(x_k, phase, sigma_beyond, change, lam=lam)
+        f_k = record.f_lambda
         if f_k < best_f:
             best_f, best_x = f_k, x_k
-        if crit <= eps_lambda:
+        if min(_ratio(abs(f_prev - f_k), f_prev), change) <= eps_lambda:
             status = CONVERGED
-            x_final = x_k
             break
-        if stall.update(change):
+        if progress.frozen(change):
             status = STALLED
-            x_final = x_k
             break
         theta = momentum_coefficient(k, 2.0) if momentum else 0.0
         op = _momentum_operator(obs, theta, x_k, misfit, x_prev, misfit_prev)
         x_prev = x_k
         misfit_prev = misfit
         f_prev = f_k
-    else:
-        x_final = best_x
 
-    return SolveResult(x_final, iterations, status, trace)
+    x_final = best_x if status == BUDGET_EXHAUSTED else x_k
+    return SolveResult(x_final, progress.iterations, status, progress.trace)
 
 
 def two_phase(
@@ -563,45 +569,34 @@ def frsi(
     test first fires one step after the residual criterion is met.
     """
     check_counts(r=r, it_max=it_max)
-    if not eps_1 > 0:
-        raise ValueError("eps_1 must be positive")
-    trace = SolveTrace()
-    obs_norm = _data_norm(obs)
+    check_positive(eps_1=eps_1)
+    progress = _Progress(obs)
     p = min(obs.shape)
     x = FactoredMatrix.zero(*obs.shape)
     misfit = obs.values
     resid_prev = math.inf
     status = BUDGET_EXHAUSTED
-    stall = _StallDetector()
-    iterations = 0
-    t0 = time.perf_counter()
 
-    for k in range(1, it_max + 1):
-        iterations = k
+    for _ in range(it_max):
         # the fixed-rank step, on the misfit carried over from the last pass
         f = truncated_svd(SpLrOperator(obs, x, misfit), min(r + 1, p), last_vector=False)
         rho = float(f.sigma[r]) if r < p else 0.0
         x_next = soft_threshold(f, rho)
-        misfit = _misfit(x_next, obs)
-        resid = _ratio(float(np.linalg.norm(misfit)), obs_norm)
-        dist = frobenius_distance(x_next, x)
-        change = _ratio(dist, x.norm())
+        change = _ratio(frobenius_distance(x_next, x), x.norm())
         slack = math.nan
         if ground_truth is not None:
             slack = fejer_slack(x, x_next, ground_truth, r, rho)
-        trace.append(TraceRecord(k, 1, rho, math.nan, resid, change,
-                                 x_next.rank, time.perf_counter() - t0, slack))
-        frozen = stall.update(change)
+        misfit, record = progress.step(x_next, 1, rho, change, slack=slack)
         x = x_next
         if min(resid_prev, change) <= eps_1:
             status = CONVERGED
             break
-        if frozen:
+        if progress.frozen(change):
             status = STALLED
             break
-        resid_prev = resid
+        resid_prev = record.rel_residual
 
-    return SolveResult(x, iterations, status, trace)
+    return SolveResult(x, progress.iterations, status, progress.trace)
 
 
 def svt(
@@ -635,14 +630,9 @@ def svt(
     tau = 5.0 * n if m == n else 8.0 * math.sqrt(m * n)
     if step is None:
         step = 1.2 * m * n / obs.nnz if obs.nnz else 1.99
-    if not step > 0:
-        raise ValueError("step must be positive")
     check_counts(it_max=it_max)
-    if not eps_2 > 0:
-        raise ValueError("eps_2 must be positive")
-
-    trace = SolveTrace()
-    obs_norm = _data_norm(obs)
+    check_positive(step=step, eps_2=eps_2)
+    progress = _Progress(obs)
     zero = FactoredMatrix.zero(m, n)
     y = np.zeros(obs.nnz)
     x = zero
@@ -650,39 +640,31 @@ def svt(
     tol = max(_SVT_SVD_ACCURACY * eps_2, DEFAULT_TOL)
     start = None
     status = BUDGET_EXHAUSTED
-    stall = _StallDetector()
-    iterations = 0
-    t0 = time.perf_counter()
 
-    for k in range(1, it_max + 1):
-        iterations = k
+    for _ in range(it_max):
         # the sparse dual itself: zero plus P_omega(y)
         op = SpLrOperator(obs, zero, y)
         x_next, sigma_beyond, f = _shrink_at_level(op, tau, r_est, tol=tol, start=start)
         start = f.v.sum(axis=1)
         r_est = x_next.rank
-        misfit = _misfit(x_next, obs)
-        resid = _ratio(float(np.linalg.norm(misfit)), obs_norm)
         change = _ratio(frobenius_distance(x_next, x), x.norm())
-        trace.append(TraceRecord(k, 1, sigma_beyond, math.nan, resid, change,
-                                 x_next.rank, time.perf_counter() - t0))
+        misfit, record = progress.step(x_next, 1, sigma_beyond, change)
+        x = x_next
+        if not record.rel_residual <= _SVT_DIVERGED_RATIO:
+            status = DIVERGED
+            break
+        if record.rel_residual <= eps_2:
+            status = CONVERGED
+            break
         # the dual keeps moving while x sits at zero during the ramp-up, so a
         # freeze requires both the primal and the dual update to be tiny
         dual_move = step * float(np.linalg.norm(misfit)) / max(1.0, float(np.linalg.norm(y)))
-        frozen = stall.update(max(change, dual_move))
-        x = x_next
-        if not resid <= _SVT_DIVERGED_RATIO:
-            status = DIVERGED
-            break
-        if resid <= eps_2:
-            status = CONVERGED
-            break
-        if frozen:
+        if progress.frozen(max(change, dual_move)):
             status = STALLED
             break
         y = y + step * misfit
 
-    return SolveResult(x, iterations, status, trace)
+    return SolveResult(x, progress.iterations, status, progress.trace)
 
 
 def fpc(
@@ -704,43 +686,31 @@ def fpc(
     floor weight has been solved, within a global ``it_max`` budget over all
     inner iterations.
     """
-    if not floor > 0:
-        raise ValueError("floor must be positive")
     check_counts(it_max=it_max)
-    if not step > 0 or not eps_3 > 0:
-        raise ValueError("need positive step and eps_3")
+    check_positive(floor=floor, step=step, eps_3=eps_3)
     m, n = obs.shape
-    obs_norm = _data_norm(obs)
+    progress = _Progress(obs)
     if lambda0 is None:
         sparse_op = SpLrOperator(obs, FactoredMatrix.zero(m, n), obs.values)
         lambda0 = float(truncated_svd(sparse_op, 1, last_vector=False).sigma[0])
     if not lambda0 >= 0:
         raise ValueError("lambda0 must be nonnegative")
 
-    trace = SolveTrace()
     x = FactoredMatrix.zero(m, n)
     misfit = obs.values
     lam = lambda0
     r_est = 1
-    total = 0
     status = BUDGET_EXHAUSTED
-    t0 = time.perf_counter()
 
-    while total < it_max:
-        for _ in range(min(_FPC_INNER_MAX, it_max - total)):
-            total += 1
+    while progress.iterations < it_max:
+        for _ in range(min(_FPC_INNER_MAX, it_max - progress.iterations)):
             # the gradient step x + step * P_omega(a - x)
             op = SpLrOperator(obs, x, step * misfit)
-            threshold = lam * step
-            x_next, sigma_beyond, _ = _shrink_at_level(op, threshold, r_est)
+            x_next, sigma_beyond, _ = _shrink_at_level(op, lam * step, r_est)
             del op
             r_est = max(x_next.rank, 1)
-            misfit = _misfit(x_next, obs)
-            dist = frobenius_distance(x_next, x)
-            change = _ratio(dist, max(1.0, x.norm()))
-            trace.append(TraceRecord(total, 1, sigma_beyond, _objective_value(misfit, x_next, lam),
-                                     _ratio(float(np.linalg.norm(misfit)), obs_norm), change,
-                                     x_next.rank, time.perf_counter() - t0))
+            change = _ratio(frobenius_distance(x_next, x), max(1.0, x.norm()))
+            misfit, _ = progress.step(x_next, 1, sigma_beyond, change, lam=lam)
             x = x_next
             if change <= eps_3:
                 break
@@ -750,7 +720,7 @@ def fpc(
             break
         lam = max(_FPC_DECAY * lam, floor)
 
-    return SolveResult(x, total, status, trace)
+    return SolveResult(x, progress.iterations, status, progress.trace)
 
 
 def soft_impute(

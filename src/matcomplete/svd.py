@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factored import FactoredMatrix
-from .observed import check_counts
+from .observed import check_counts, check_positive
 
 DEFAULT_TOL = 1e-10
 _RESTART_BUFFER = 10
@@ -174,8 +174,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     check_counts(k=k)
     if k > p:
         raise ValueError(f"requested {k} triplets from a {m}x{n} operator")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    check_positive(tol=tol)
     if start is not None:
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (n,):
@@ -280,14 +279,13 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         if j == max_dim:
             # thick restart: keep the leading Ritz pairs plus the residual
             # direction; the Ritz-to-residual couplings re-enter the projected
-            # matrix through the Gram-Schmidt coefficients of the next step
-            l = min(keep, j - 3)
-            if l < 1:
-                l = max(j - 1, 0)
-            bu[:, :l] = bu[:, :j] @ pl[:, :l]
-            bv[:, :l] = bv[:, :j] @ prt[:l, :].T
-            bv[:, l] = bv[:, j]
+            # matrix through the Gram-Schmidt coefficients of the next step.
+            # j == max_dim < p here (at j == p the exact branch returned), so
+            # max_dim >= keep + 20 and all keep pairs fit.
+            bu[:, :keep] = bu[:, :j] @ pl[:, :keep]
+            bv[:, :keep] = bv[:, :j] @ prt[:keep, :].T
+            bv[:, keep] = bv[:, j]
             bmat[:, :] = 0.0
-            bmat[:l, :l] = np.diag(s[:l])
-            j = l
+            bmat[:keep, :keep] = np.diag(s[:keep])
+            j = keep
             last_check = -1

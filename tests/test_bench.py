@@ -224,6 +224,15 @@ def test_cli_zero_warm_start_budget_is_an_error(tmp_path, capsys, command, messa
     assert message in capsys.readouterr().err
 
 
+def test_cli_beta_sweep_rejects_options_it_does_not_read(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["beta-sweep", "--n", "25", "--r", "2", "--p", "0.4", "--beta", "3", "--w", "20",
+              "--it-max", "3", "--tol-bundle", "paper-ml", "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --it-max 3 --tol-bundle paper-ml" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_trace(tmp_path):
     out = tmp_path / "tr"
     code = main(["trace", "--method", "frsi", "--n", "25", "--r", "2", "--p", "0.4",

@@ -31,7 +31,7 @@ from matcomplete import (
 )
 from matcomplete import factored, shrinkage, solvers
 from matcomplete.operators import assemble_iterate_operator
-from matcomplete.solvers import _StallDetector
+from matcomplete.solvers import _Progress
 from matcomplete.svd import DEFAULT_TOL
 
 from conftest import full_observed, random_factored, random_observed
@@ -243,6 +243,8 @@ def test_two_phase_recovers_well_observed_instance(rng):
     p1, p2 = res.phase_split
     assert res.trace.column("iteration").tolist() == list(range(1, res.iterations + 1))
     assert phases.tolist() == [1] * p1 + [2] * p2
+    # one clock across both phases
+    assert (np.diff(res.trace.column("time_s")) >= 0).all()
 
 
 def test_two_phase_warm_start_wiring(rng):
@@ -581,17 +583,18 @@ def test_recovered_rank_matches_iterate(rng):
         res.x.validate()
 
 
-def test_stall_detector_requires_three_consecutive():
-    det = _StallDetector()
-    assert not det.update(0.0)
-    assert not det.update(0.0)
-    assert det.update(0.0)
-    det = _StallDetector()
-    assert not det.update(0.0)
-    assert not det.update(1.0)
-    assert not det.update(0.0)
-    assert not det.update(0.0)
-    assert det.update(0.0)
+def test_stall_detector_requires_three_consecutive(rng):
+    obs = random_observed(rng, 6, 6, 0.5)
+    progress = _Progress(obs)
+    assert not progress.frozen(0.0)
+    assert not progress.frozen(0.0)
+    assert progress.frozen(0.0)
+    progress = _Progress(obs)
+    assert not progress.frozen(0.0)
+    assert not progress.frozen(1.0)
+    assert not progress.frozen(0.0)
+    assert not progress.frozen(0.0)
+    assert progress.frozen(0.0)
 
 
 # --- one omega-gather per iteration ---
@@ -756,32 +759,33 @@ def no_svd(monkeypatch):
     monkeypatch.setattr(solvers, "truncated_svd", reached)
 
 
-@pytest.mark.parametrize("solve", [
-    lambda obs: svt(obs, step=math.nan),
-    lambda obs: svt(obs, eps_2=math.nan),
-    lambda obs: phase_two(obs, 2, math.nan, FactoredMatrix.zero(*obs.shape)),
-    lambda obs: soft_impute(obs, 1.0, eps=math.nan),
-    lambda obs: phase_one(obs, 2, eps_rho=math.nan),
-    lambda obs: phase_one(obs, 2, beta=math.nan),
-    lambda obs: frsi(obs, 2, eps_1=math.nan),
-    lambda obs: fpc(obs, lambda0=math.nan),
-    lambda obs: fpc(obs, floor=math.nan),
-    lambda obs: fpc(obs, step=math.nan),
-    lambda obs: two_phase(obs, SolverConfig(r=3.5)),
-    lambda obs: frsi(obs, 3.5),
-    lambda obs: frsi(obs, True),
-    lambda obs: phase_one(obs, 3, w=2.5),
-    lambda obs: phase_two(obs, 2, 1.0, FactoredMatrix.zero(*obs.shape), it_max=2.5),
-    lambda obs: soft_impute(obs, 1.0, rank_start=2.5),
-    lambda obs: svt(obs, it_max=2.5),
-    lambda obs: fpc(obs, it_max=2.5),
+@pytest.mark.parametrize("solve, name", [
+    (lambda obs: svt(obs, step=math.nan), "step"),
+    (lambda obs: svt(obs, eps_2=math.nan), "eps_2"),
+    (lambda obs: phase_two(obs, 2, math.nan, FactoredMatrix.zero(*obs.shape)), "lam"),
+    # soft_impute hands eps to phase_two as eps_lambda
+    (lambda obs: soft_impute(obs, 1.0, eps=math.nan), "eps_lambda"),
+    (lambda obs: phase_one(obs, 2, eps_rho=math.nan), "eps_rho"),
+    (lambda obs: phase_one(obs, 2, beta=math.nan), "beta"),
+    (lambda obs: frsi(obs, 2, eps_1=math.nan), "eps_1"),
+    (lambda obs: fpc(obs, lambda0=math.nan), "lambda0"),
+    (lambda obs: fpc(obs, floor=math.nan), "floor"),
+    (lambda obs: fpc(obs, step=math.nan), "step"),
+    (lambda obs: two_phase(obs, SolverConfig(r=3.5)), "r"),
+    (lambda obs: frsi(obs, 3.5), "r"),
+    (lambda obs: frsi(obs, True), "r"),
+    (lambda obs: phase_one(obs, 3, w=2.5), "w"),
+    (lambda obs: phase_two(obs, 2, 1.0, FactoredMatrix.zero(*obs.shape), it_max=2.5), "it_max"),
+    (lambda obs: soft_impute(obs, 1.0, rank_start=2.5), "rank_start"),
+    (lambda obs: svt(obs, it_max=2.5), "it_max"),
+    (lambda obs: fpc(obs, it_max=2.5), "it_max"),
 ], ids=["svt-step", "svt-eps_2", "phase_two-lam", "soft_impute-eps",
         "phase_one-eps_rho", "phase_one-beta", "frsi-eps_1", "fpc-lambda0", "fpc-floor",
         "fpc-step", "two_phase-r", "frsi-r", "frsi-r-bool", "phase_one-w", "phase_two-it_max",
         "soft_impute-rank_start", "svt-it_max", "fpc-it_max"])
-def test_invalid_parameters_fail_before_any_svd(no_svd, solve):
+def test_invalid_parameters_fail_before_any_svd(no_svd, solve, name):
     obs = gen_synthetic(20, 2, 0.5, seed=2).obs
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
         solve(obs)
 
 
