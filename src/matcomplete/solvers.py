@@ -290,8 +290,8 @@ def _momentum_operator(obs, theta, x, misfit, x_prev, misfit_prev) -> SpLrOperat
     operator's products read it, so it is not refactored into one
     orthonormal factorization.  P_omega is linear, so the point's misfit is
     ``misfit + theta (misfit - misfit_prev)`` and needs no gather.  It is
-    built in the buffer of ``misfit_prev``, which the caller must no longer
-    need.
+    built in the buffer of ``misfit_prev``, which neither the caller nor a
+    live operator may still read: operators keep their residual uncopied.
     """
     if theta == 0.0:
         return SpLrOperator(obs, x, misfit)
@@ -410,17 +410,17 @@ def phase_one(
         f = truncated_svd(op, min(r + 1, p), start=start, last_vector=False)
         start = f.v.sum(axis=1)
         rho = float(f.sigma[r]) if r < p else 0.0
-        sigma_top = float(f.sigma[0]) if f.k else 0.0
+        sigma_top = float(f.sigma[0])
         if j == 1:
             anchor = max(sigma_top, anchor)
+        x_j = soft_threshold(f, rho)
         if math.isfinite(rho_prev) and abs(rho - rho_prev) / (anchor + rho_prev) < eps_rho:
             stabilized = True
-            first_iterate = soft_threshold(f, rho)
+            first_iterate = x_j
             progress.trace.append(1, rho, math.nan, math.nan, math.nan, x_prev.rank)
             break
         z = op.z
-        del op  # its residual copy would only add to the peak during the gather
-        x_j = soft_threshold(f, rho)
+        del op  # frees its residual buffer before the gather allocates the next
         slack = math.nan
         if ground_truth is not None:
             slack = fejer_slack(_combined(z), x_j, ground_truth, r, rho)
@@ -497,6 +497,8 @@ def phase_two(
             x_k, sigma_beyond = first_iterate, lam
         else:
             x_k, sigma_beyond, _ = _shrink_at_level(op, lam, r_est)
+        # frees its residual buffer before the gather, and leaves no live
+        # operator reading the misfit_prev that _momentum_operator rewrites
         op = None
         r_est = x_k.rank
         change = _ratio(frobenius_distance(x_k, x_prev), x_prev.norm())
@@ -707,7 +709,7 @@ def fpc(
             # the gradient step x + step * P_omega(a - x)
             op = SpLrOperator(obs, x, step * misfit)
             x_next, sigma_beyond, _ = _shrink_at_level(op, lam * step, r_est)
-            del op
+            del op  # frees the step-scaled misfit before the gather allocates the next
             r_est = max(x_next.rank, 1)
             change = _ratio(frobenius_distance(x_next, x), max(1.0, x.norm()))
             misfit, _ = progress.step(x_next, 1, sigma_beyond, change, lam=lam)
@@ -736,6 +738,7 @@ def soft_impute(
     zero (unit step on the smooth part, so the objective is nonincreasing).
     """
     check_counts(rank_start=rank_start)
+    check_positive(lam=lam, eps=eps)
     x0 = FactoredMatrix.zero(*obs.shape)
     return phase_two(obs, rank_start, lam, x0, eps_lambda=eps, it_max=it_max,
                      momentum=False, phase=1)

@@ -67,8 +67,6 @@ def _orthogonalize(w, basis, j):
     of the norm: only then can cancellation have left w measurably out of
     orthogonality.
     """
-    if j == 0:
-        return w, np.zeros(0), float(np.linalg.norm(w))
     b = basis[:, :j]
     before = np.linalg.norm(w)
     c = b.T @ w
@@ -82,8 +80,9 @@ def _orthogonalize(w, basis, j):
     return w, c, float(after)
 
 
-def _fresh_direction(rng, basis, j, size):
+def _fresh_direction(rng, basis, j):
     """A unit vector orthogonal to basis[:, :j], or None if none exists."""
+    size = basis.shape[0]
     if j >= size:
         return None
     for _ in range(5):
@@ -92,6 +91,24 @@ def _fresh_direction(rng, basis, j, size):
         if nrm > 1e-6 * np.sqrt(size):
             return w / nrm
     return None
+
+
+def _extend(w, basis, j, scale, rng):
+    """Orthogonalize w into basis column j: ``(coefficients, norm, scale)``.
+
+    A norm at or below ``_BREAKDOWN_REL`` times ``scale``, the run's largest
+    norm, is a breakdown: it is returned as zero and column j gets a fresh
+    direction, or zeros once the basis spans its whole space.
+    """
+    w, c, nrm = _orthogonalize(w, basis, j)
+    scale = max(scale, nrm)
+    if nrm > scale * _BREAKDOWN_REL:
+        basis[:, j] = w / nrm
+    else:
+        nrm = 0.0
+        fresh = _fresh_direction(rng, basis, j)
+        basis[:, j] = 0.0 if fresh is None else fresh
+    return c, nrm, scale
 
 
 def _repair_null_columns(factor, sigma, rng):
@@ -109,7 +126,7 @@ def _repair_null_columns(factor, sigma, rng):
         raise AssertionError("norm-deficient factor column with nonzero sigma")
     factor[:, deficient] = 0.0
     for i in deficient:
-        fresh = _fresh_direction(rng, factor, factor.shape[1], factor.shape[0])
+        fresh = _fresh_direction(rng, factor, factor.shape[1])
         factor[:, i] = 0.0 if fresh is None else fresh
 
 
@@ -195,7 +212,8 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
 
     bu = np.zeros((m, max_dim))
     bv = np.zeros((n, max_dim + 1))
-    bmat = np.zeros((max_dim, max_dim))
+    # the spare column holds the last coupling beta until the next step overwrites it
+    bmat = np.zeros((max_dim, max_dim + 1))
 
     v0 = rng.standard_normal(n)
     if start is not None:
@@ -209,34 +227,17 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
 
     def extract(pl, s, prt, count):
         uu = bu[:, :j] @ pl[:, :count]
-        vv = bv[:, :j] @ prt[:count, :].T
+        vv = bv[:, :prt.shape[1]] @ prt[:count, :].T
+        _repair_null_columns(vv, s[:count], rng)
         return FactoredMatrix(uu, s[:count].copy(), vv)
 
     while True:
-        # expand the left basis with A v_j
-        w = op.matvec(bv[:, j])
-        w, g, alpha = _orthogonalize(w, bu, j)
-        scale = max(scale, alpha)
-        if alpha > scale * _BREAKDOWN_REL:
-            bu[:, j] = w / alpha
-        else:
-            alpha = 0.0
-            fresh = _fresh_direction(rng, bu, j, m)
-            bu[:, j] = 0.0 if fresh is None else fresh
-        if j:
-            bmat[:j, j] = g
+        # expand the left basis with A v_j, then the right one with A^T u_j
+        g, alpha, scale = _extend(op.matvec(bv[:, j]), bu, j, scale, rng)
+        bmat[:j, j] = g
         bmat[j, j] = alpha
-
-        # expand the right basis with A^T u_j
-        w = op.rmatvec(bu[:, j])
-        w, _, beta = _orthogonalize(w, bv, j + 1)
-        scale = max(scale, beta)
-        if beta > scale * _BREAKDOWN_REL:
-            bv[:, j + 1] = w / beta
-        else:
-            beta = 0.0
-            fresh = _fresh_direction(rng, bv, j + 1, n)
-            bv[:, j + 1] = 0.0 if fresh is None else fresh
+        _, beta, scale = _extend(op.rmatvec(bu[:, j]), bv, j + 1, scale, rng)
+        bmat[j, j + 1] = beta
         j += 1
         steps += 1
 
@@ -244,14 +245,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
             # the smaller side's basis is complete, so the opposite basis plus
             # the coupling vector spans the full row/column space and the
             # extended projection [B | beta e_{j-1}] reproduces A exactly
-            ext = np.zeros((j, j + 1))
-            ext[:, :j] = bmat[:j, :j]
-            ext[j - 1, j] = beta
-            pl, s, prt = np.linalg.svd(ext, full_matrices=False)
-            uu = bu[:, :j] @ pl[:, :k]
-            vv = bv[:, : j + 1] @ prt[:k, :].T
-            _repair_null_columns(vv, s[:k], rng)
-            return FactoredMatrix(uu, s[:k].copy(), vv)
+            return extract(*np.linalg.svd(bmat[:j, :j + 1], full_matrices=False), k)
 
         if j < k:
             continue
@@ -262,7 +256,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         last_check = j
 
         pl, s, prt = np.linalg.svd(bmat[:j, :j])
-        sref = max(s[0] if s.size else 0.0, np.finfo(float).tiny)
+        sref = max(s[0], np.finfo(float).tiny)
         residuals = beta * np.abs(pl[j - 1, :])
         converged = residuals <= tol * sref
         if not last_vector and not converged[k - 1]:

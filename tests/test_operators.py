@@ -105,6 +105,16 @@ def test_rmatvec_matches_dense_transpose(rng, m, n):
     ops[0].check_residual()
 
 
+def test_operator_keeps_a_read_only_view_of_its_residual(rng):
+    obs = random_observed(rng, 9, 7, 0.5)
+    buf = rng.standard_normal(obs.nnz)
+    op = SpLrOperator(obs, random_factored(rng, 9, 7, 2), buf)
+    assert np.shares_memory(op.residual, buf)
+    assert not op.residual.flags.writeable
+    assert buf.flags.writeable
+    assert np.shares_memory(op._sparse.data, buf)
+
+
 def test_operators_share_the_omegas_csr_indices(rng):
     obs = random_observed(rng, 12, 9, 0.5)
     z = random_factored(rng, 12, 9, 2)

@@ -699,6 +699,28 @@ def test_momentum_residual_matches_fresh_gather(checked_residuals):
     assert len(checked_residuals) == res.phase_split[0] + res.phase_split[1] - 1
 
 
+@pytest.mark.parametrize("solve", [
+    lambda obs: frsi(obs, 3, eps_1=1e-6),
+    lambda obs: soft_impute(obs, 0.5, eps=1e-8, rank_start=3),
+], ids=["frsi", "soft_impute"])
+def test_fill_in_residual_matches_fresh_gather(checked_residuals, solve):
+    # operators keep the misfit buffers they are given, uncopied, so a buffer
+    # rewritten under a live operator would show up as a stale residual here
+    inst = gen_synthetic(60, 3, 0.4, seed=4)
+    res = solve(inst.obs)
+    assert res.iterations >= 3
+    assert len(checked_residuals) >= res.iterations
+
+
+def test_phase_two_checks_its_momentum_points_from_zero(checked_residuals):
+    inst = gen_synthetic(60, 3, 0.4, seed=4)
+    res = phase_two(inst.obs, 3, 0.5, FactoredMatrix.zero(*inst.obs.shape), eps_lambda=1e-8)
+    assert res.iterations >= 3
+    assert len(checked_residuals) >= res.iterations
+    # a momentum point carries both iterates' factor pairs
+    assert max(checked_residuals) > res.x.rank
+
+
 def test_fpc_blended_residual_matches_fresh_gather(monkeypatch):
     # the lambda0 operator is the data at zero, a plain misfit operator; each
     # pass then fills in x + step * P_omega(a - x), whose residual is the
@@ -763,8 +785,8 @@ def no_svd(monkeypatch):
     (lambda obs: svt(obs, step=math.nan), "step"),
     (lambda obs: svt(obs, eps_2=math.nan), "eps_2"),
     (lambda obs: phase_two(obs, 2, math.nan, FactoredMatrix.zero(*obs.shape)), "lam"),
-    # soft_impute hands eps to phase_two as eps_lambda
-    (lambda obs: soft_impute(obs, 1.0, eps=math.nan), "eps_lambda"),
+    (lambda obs: soft_impute(obs, math.nan), "lam"),
+    (lambda obs: soft_impute(obs, 1.0, eps=math.nan), "eps"),
     (lambda obs: phase_one(obs, 2, eps_rho=math.nan), "eps_rho"),
     (lambda obs: phase_one(obs, 2, beta=math.nan), "beta"),
     (lambda obs: frsi(obs, 2, eps_1=math.nan), "eps_1"),
@@ -779,7 +801,7 @@ def no_svd(monkeypatch):
     (lambda obs: soft_impute(obs, 1.0, rank_start=2.5), "rank_start"),
     (lambda obs: svt(obs, it_max=2.5), "it_max"),
     (lambda obs: fpc(obs, it_max=2.5), "it_max"),
-], ids=["svt-step", "svt-eps_2", "phase_two-lam", "soft_impute-eps",
+], ids=["svt-step", "svt-eps_2", "phase_two-lam", "soft_impute-lam", "soft_impute-eps",
         "phase_one-eps_rho", "phase_one-beta", "frsi-eps_1", "fpc-lambda0", "fpc-floor",
         "fpc-step", "two_phase-r", "frsi-r", "frsi-r-bool", "phase_one-w", "phase_two-it_max",
         "soft_impute-rank_start", "svt-it_max", "fpc-it_max"])

@@ -91,13 +91,21 @@ def test_exact_low_rank_breakdown_path(rng):
 
 
 def test_wide_and_tall_shapes(rng):
-    for m, n in [(6, 90), (90, 6), (1, 30), (30, 1)]:
-        a = rng.standard_normal((m, n))
+    # the full decomposition, of full rank and then of low rank, where the
+    # Lanczos run breaks down after `rank` steps and continues on fresh
+    # directions until the exact branch
+    for m, n, rank in [(6, 90, None), (90, 6, None), (1, 30, None), (30, 1, None),
+                       (12, 8, 3), (8, 8, 3), (8, 12, 3), (20, 6, 2), (9, 5, 1)]:
+        if rank is None:
+            a = rng.standard_normal((m, n))
+        else:
+            a = random_factored(rng, m, n, rank).dense()
         op = assemble_iterate_operator(full_observed(a), FactoredMatrix.zero(m, n))
         k = min(m, n)
         f = truncated_svd(op, k)
         oracle = dense_svd(a)
         assert np.abs(f.sigma - oracle.sigma[:k]).max() <= 1e-10 * oracle.sigma[0]
+        f.validate()
 
 
 def test_budget_exhaustion_carries_best(rng):
