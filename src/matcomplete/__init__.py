@@ -50,7 +50,7 @@ from .solvers import (
     svt,
     two_phase,
 )
-from .svd import TruncatedSvdError, dense_svd, truncated_svd
+from .svd import LanczosStart, TruncatedSvdError, dense_svd, truncated_svd
 
 __version__ = "0.1.0"
 
@@ -60,6 +60,7 @@ __all__ = [
     "DIVERGED",
     "FactoredMatrix",
     "FactoredSum",
+    "LanczosStart",
     "ObservedMatrix",
     "PhaseOneResult",
     "RatingsDataset",

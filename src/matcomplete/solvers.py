@@ -15,7 +15,7 @@ from .observed import ObservedMatrix, check_counts, check_positive
 # because perfbench/spans.py traces it by rebinding solvers.assemble_iterate_operator
 from .operators import SpLrOperator, assemble_iterate_operator  # noqa: F401
 from .shrinkage import fejer_slack, soft_threshold
-from .svd import DEFAULT_TOL, truncated_svd
+from .svd import DEFAULT_TOL, LanczosStart, truncated_svd
 
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget-exhausted"
@@ -34,10 +34,11 @@ _RANK_BUMP = 5
 _FPC_DECAY = 0.25
 _FPC_INNER_MAX = 100
 
-# svt's SVDs converge to this fraction of its stop level eps_2, relative to
-# sigma_1 and never tighter than DEFAULT_TOL: its stop test reads the residual
-# ratio only to eps_2, so digits far below that go unused.
-_SVT_SVD_ACCURACY = 1e-2
+# Each solver's SVDs converge to this fraction of its own stop level,
+# relative to sigma_1 and clamped to [DEFAULT_TOL, _SVD_TOL_MAX]: a stop test
+# reads its ratios only to that level, so digits far below it go unused.
+_SVD_ACCURACY = 1e-2
+_SVD_TOL_MAX = 1e-6
 
 # svt has diverged once its iterate misfits the data by this many times the
 # data's own norm (the zero matrix misfits it by exactly once): the dual then
@@ -50,9 +51,10 @@ class SolverConfig:
     """Tolerances, budgets and parameters for the solvers.
 
     ``step_svt`` may be None (``auto`` in a config file), meaning "derive
-    from the instance" (the SVT default).  The SVD tolerance (SVT's follows
-    ``eps_2``), the rank regrowth step, the FPC path and SVT's threshold are
-    fixed; see :func:`svt` and :func:`fpc`.
+    from the instance" (the SVT default).  Each solver's SVD tolerance
+    follows its own stop level ``eps``, as ``clamp(1e-2 eps, 1e-10, 1e-6)``;
+    it, the rank regrowth step, the FPC path and SVT's threshold are fixed;
+    see :func:`svt` and :func:`fpc`.
     """
 
     r: int
@@ -195,7 +197,10 @@ class PhaseOneResult:
     step at ``lam = rho`` from ``z``.  It is None when phase one did not
     stabilize.  ``z_misfit`` is ``a - P_omega(z)`` on the observed entries,
     which the last fill-in operator carried by linearity; phase two takes it
-    instead of gathering ``z`` again.
+    instead of gathering ``z`` again.  ``lanczos_start`` is the start its
+    SVDs took, derived from the data, which phase two takes too.
+    ``diverged`` is set when an SVD returned a non-finite value; phase one
+    then stopped at once, and ``x_last`` is the last finite iterate.
     """
 
     z: FactoredMatrix
@@ -207,6 +212,8 @@ class PhaseOneResult:
     trace: SolveTrace
     first_iterate: FactoredMatrix | None = None
     z_misfit: np.ndarray | None = None
+    lanczos_start: LanczosStart | None = None
+    diverged: bool = False
 
 
 class _Progress:
@@ -306,7 +313,20 @@ def _combined(z: FactoredMatrix | FactoredSum) -> FactoredMatrix:
     return combine(z.alpha, z.f, z.beta, z.g) if isinstance(z, FactoredSum) else z
 
 
-def _shrink_at_level(op, level, r_est, *, tol=DEFAULT_TOL, start=None):
+def _svd_tol(eps: float) -> float:
+    """The SVD tolerance of a solver whose stop test reads its ratios to
+    ``eps``: ``clamp(1e-2 eps, 1e-10, 1e-6)``."""
+    return min(max(_SVD_ACCURACY * eps, DEFAULT_TOL), _SVD_TOL_MAX)
+
+
+def _finite(f: FactoredMatrix) -> bool:
+    """Whether an SVD's values are all finite.  A solver stops as diverged
+    when they are not: its stop test would read the NaN, or an iterate that
+    :func:`soft_threshold` shrank to zero by dropping it, and could pass."""
+    return bool(np.isfinite(f.sigma).all())
+
+
+def _shrink_at_level(op, level, r_est, *, tol, base, start=None):
     """Shrink the operator's matrix by ``level``: ``(S_level(op), sigma_beyond, f)``.
 
     Computes enough leading triplets that everything left out lies below
@@ -324,10 +344,11 @@ def _shrink_at_level(op, level, r_est, *, tol=DEFAULT_TOL, start=None):
     zero, since its value lies below ``level`` or at most ``1e-15 sigma_1``
     (a tie that :func:`soft_threshold` drops), or it comes from the full
     decomposition (``kk == min(m, n)``), which is exact.  Its value stays
-    within ``tol * sigma_1``.  With ``start`` the first SVD starts its
-    Lanczos run from ``start`` and each regrowth starts from the previous
-    SVD's right factor summed over its columns, instead of throwing that
-    basis away; with ``start=None`` every SVD starts cold.
+    within ``tol * sigma_1``.  Every SVD starts from the solve's data-derived
+    ``base``.  With ``start`` the first SVD starts its Lanczos run warm from
+    ``start`` and each regrowth from the previous SVD (``base.warm``),
+    instead of throwing that basis away; with ``start=None`` every SVD
+    starts cold.  A non-finite value ends the regrowth.
     """
     p = min(op.shape)
     cap = p - 1
@@ -335,12 +356,14 @@ def _shrink_at_level(op, level, r_est, *, tol=DEFAULT_TOL, start=None):
     grow = _RANK_BUMP
     while True:
         kk = min(r_try + 1, p)
-        f = truncated_svd(op, kk, tol=tol, start=start, last_vector=False)
+        f = truncated_svd(op, kk, tol=tol, start=start, base=base, last_vector=False)
         s_last = f.sigma[-1]
-        if kk == p or s_last < level or s_last <= f.sigma[0] * 1e-15 or r_try >= cap:
+        # grow while the last value is above the level and not a tie with
+        # zero; a NaN compares false and stops it
+        if not (r_try < cap and s_last >= level and s_last > f.sigma[0] * 1e-15):
             break
         if start is not None:
-            start = f.v.sum(axis=1)
+            start = base.warm(f)
         r_try = min(r_try + grow, cap)
         grow *= 2
     sigma_beyond = s_last if s_last < level else math.nan
@@ -373,11 +396,15 @@ def phase_one(
     demand near-absolute stabilization of a quantity that lives at the data's
     scale.
 
-    Each SVD after the first starts its Lanczos run warm, from the previous
-    SVD's right factor summed over its columns: consecutive fill-in matrices
-    differ little.  Each converges its first r triplets to ``1e-10 sigma_1``
-    but reads the (r+1)-th only as a value (``last_vector=False``): ``rho``
-    feeds the stop test and the shrinkage that sends that triplet to zero.
+    The first SVD starts from the data-derived start
+    (:meth:`LanczosStart.from_data`), each later one warm from the previous
+    SVD's factor on the run's side, summed over its columns: consecutive
+    fill-in matrices differ little.  Each converges its first r triplets to
+    ``clamp(1e-2 eps_rho, 1e-10, 1e-6) sigma_1`` (1e-6 at the default
+    ``eps_rho``) but reads the (r+1)-th only as a value
+    (``last_vector=False``): ``rho`` feeds the stop test and the shrinkage
+    that sends that triplet to zero.  An SVD with a non-finite value stops
+    phase one at once, as ``diverged``.
     The momentum point reaches the SVD as the two iterates' factor pairs
     (:class:`FactoredSum`); it is refactored into one orthonormal
     factorization only at the exit, as the returned ``z``, and for the
@@ -395,6 +422,8 @@ def phase_one(
     m, n = obs.shape
     p = min(m, n)
     progress = _Progress(obs, trace)
+    base = LanczosStart.from_data(obs)
+    tol = _svd_tol(eps_rho)
     x_prev = FactoredMatrix.zero(m, n)
     misfit_prev = obs.values
     op = SpLrOperator(obs, x_prev, misfit_prev)
@@ -402,13 +431,16 @@ def phase_one(
     rho_prev = math.inf
     sigma_top = 0.0
     anchor = np.finfo(float).tiny
-    stabilized = False
+    stabilized = diverged = False
     first_iterate = None
     start = None
 
     for j in range(1, w + 1):
-        f = truncated_svd(op, min(r + 1, p), start=start, last_vector=False)
-        start = f.v.sum(axis=1)
+        f = truncated_svd(op, min(r + 1, p), tol=tol, start=start, base=base, last_vector=False)
+        if not _finite(f):
+            diverged = True
+            break
+        start = base.warm(f)
         rho = float(f.sigma[r]) if r < p else 0.0
         sigma_top = float(f.sigma[0])
         if j == 1:
@@ -433,7 +465,7 @@ def phase_one(
         rho_prev = rho
 
     return PhaseOneResult(_combined(op.z), rho, x_prev, progress.iterations, stabilized,
-                          sigma_top, progress.trace, first_iterate, op.residual)
+                          sigma_top, progress.trace, first_iterate, op.residual, base, diverged)
 
 
 def phase_two(
@@ -449,6 +481,7 @@ def phase_two(
     phase: int = 2,
     first_iterate: FactoredMatrix | None = None,
     x0_misfit: np.ndarray | None = None,
+    lanczos_start: LanczosStart | None = None,
 ) -> SolveResult:
     """Accelerated proximal iteration for the fixed-lam regularized problem.
 
@@ -470,6 +503,13 @@ def phase_two(
     shrunk to zero.  ``x0_misfit``, when given, must be ``a - P_omega(x0)``
     on the observed entries (``PhaseOneResult.z_misfit``); it replaces the
     gather of ``x0``.
+
+    Every SVD starts cold from ``lanczos_start``
+    (``PhaseOneResult.lanczos_start``), or from
+    :meth:`LanczosStart.from_data` when it is None, and converges to
+    ``clamp(1e-2 eps_lambda, 1e-10, 1e-6) sigma_1``.  An SVD with a
+    non-finite value ends the run at once as ``diverged``, with the last
+    finite iterate.
     """
     check_counts(r=r, it_max=it_max)
     check_positive(lam=lam, eps_lambda=eps_lambda)
@@ -482,6 +522,8 @@ def phase_two(
         raise ValueError(f"x0_misfit must hold one value per observed entry ({obs.nnz}), "
                          f"got shape {np.shape(x0_misfit)}")
     progress = _Progress(obs, trace)
+    base = lanczos_start if lanczos_start is not None else LanczosStart.from_data(obs)
+    tol = _svd_tol(eps_lambda)
     x_prev = x0
     # the first step has theta = 0, so this buffer is never written into
     misfit_prev = _misfit(x0, obs) if x0_misfit is None else x0_misfit
@@ -496,7 +538,10 @@ def phase_two(
         if op is None:
             x_k, sigma_beyond = first_iterate, lam
         else:
-            x_k, sigma_beyond, _ = _shrink_at_level(op, lam, r_est)
+            x_k, sigma_beyond, f = _shrink_at_level(op, lam, r_est, tol=tol, base=base)
+            if not _finite(f):
+                x_k, status = x_prev, DIVERGED
+                break
         # frees its residual buffer before the gather, and leaves no live
         # operator reading the misfit_prev that _momentum_operator rewrites
         op = None
@@ -539,16 +584,19 @@ def two_phase(
     off its exit SVD (``PhaseOneResult.first_iterate``), and its start's
     misfit the one phase one carried (``PhaseOneResult.z_misfit``), so the
     solve makes one SVD call and one gather fewer than it has iterations
-    when phase one stabilizes.
+    when phase one stabilizes.  Both phases start their SVDs from one
+    data-derived start (``PhaseOneResult.lanczos_start``).  When phase one
+    diverged, so does the solve, with phase one's last finite iterate.
     """
     trace = SolveTrace()
     p1 = phase_one(obs, config.r, config.eps_rho, config.w, config.beta,
                    ground_truth=ground_truth, trace=trace)
-    if p1.rho <= 1e-12 * p1.sigma_top:
-        return SolveResult(p1.x_last, p1.iterations, CONVERGED, trace,
-                           phase_split=(p1.iterations, 0))
+    if p1.diverged or p1.rho <= 1e-12 * p1.sigma_top:
+        return SolveResult(p1.x_last, p1.iterations, DIVERGED if p1.diverged else CONVERGED,
+                           trace, phase_split=(p1.iterations, 0))
     p2 = phase_two(obs, config.r, p1.rho, p1.z, config.eps_lambda, config.it_max, trace=trace,
-                   first_iterate=p1.first_iterate, x0_misfit=p1.z_misfit)
+                   first_iterate=p1.first_iterate, x0_misfit=p1.z_misfit,
+                   lanczos_start=p1.lanczos_start)
     total = p1.iterations + p2.iterations
     return SolveResult(p2.x, total, p2.status, trace,
                        phase_split=(p1.iterations, p2.iterations))
@@ -568,11 +616,16 @@ def frsi(
     ``min(omega-residual ratio, iterate-change ratio) <= eps_1``.  The two
     ratios pair adjacent iterates: at the step that produced ``x_new`` the
     residual is the previous iterate's and the change spans the pair, so the
-    test first fires one step after the residual criterion is met.
+    test first fires one step after the residual criterion is met.  Every
+    SVD starts cold from :meth:`LanczosStart.from_data` and converges to
+    ``clamp(1e-2 eps_1, 1e-10, 1e-6) sigma_1``; one with a non-finite value
+    ends the run at once as ``diverged``, with the last finite iterate.
     """
     check_counts(r=r, it_max=it_max)
     check_positive(eps_1=eps_1)
     progress = _Progress(obs)
+    base = LanczosStart.from_data(obs)
+    tol = _svd_tol(eps_1)
     p = min(obs.shape)
     x = FactoredMatrix.zero(*obs.shape)
     misfit = obs.values
@@ -581,7 +634,11 @@ def frsi(
 
     for _ in range(it_max):
         # the fixed-rank step, on the misfit carried over from the last pass
-        f = truncated_svd(SpLrOperator(obs, x, misfit), min(r + 1, p), last_vector=False)
+        f = truncated_svd(SpLrOperator(obs, x, misfit), min(r + 1, p), tol=tol, base=base,
+                          last_vector=False)
+        if not _finite(f):
+            status = DIVERGED
+            break
         rho = float(f.sigma[r]) if r < p else 0.0
         x_next = soft_threshold(f, rho)
         change = _ratio(frobenius_distance(x_next, x), x.norm())
@@ -620,13 +677,15 @@ def svt(
     residual ratio exceeds ``1e4`` (or is not finite) svt stops with status
     ``diverged`` and the iterate of that pass, before anything overflows.
 
-    Its SVDs converge to ``max(1e-2 eps_2, 1e-10) * sigma_1`` rather than
-    ``1e-10 * sigma_1``: the stop test reads the residual ratio only to
-    ``eps_2``.  From the second pass on, each SVD starts its Lanczos run warm
-    from the right factor, summed over its columns, of the previous pass's
-    full SVD (the triplet below ``tau`` included, also while the iterate is
-    still zero), and a rank regrowth starts from the SVD it replaces: the
-    dual moves little between passes.
+    Its SVDs converge to ``clamp(1e-2 eps_2, 1e-10, 1e-6) * sigma_1``: the
+    stop test reads the residual ratio only to ``eps_2``.  The first SVD
+    starts cold from :meth:`LanczosStart.from_data`.  From the second pass
+    on, each SVD starts its Lanczos run warm from the factor on the run's
+    side, summed over its columns, of the previous pass's full SVD (the
+    triplet below ``tau`` included, also while the iterate is still zero),
+    and a rank regrowth starts from the SVD it replaces: the dual moves
+    little between passes.  An SVD with a non-finite value also ends the
+    run as ``diverged``, with the last finite iterate.
     """
     m, n = obs.shape
     tau = 5.0 * n if m == n else 8.0 * math.sqrt(m * n)
@@ -635,19 +694,24 @@ def svt(
     check_counts(it_max=it_max)
     check_positive(step=step, eps_2=eps_2)
     progress = _Progress(obs)
+    base = LanczosStart.from_data(obs)
+    tol = _svd_tol(eps_2)
     zero = FactoredMatrix.zero(m, n)
     y = np.zeros(obs.nnz)
     x = zero
     r_est = 0
-    tol = max(_SVT_SVD_ACCURACY * eps_2, DEFAULT_TOL)
     start = None
     status = BUDGET_EXHAUSTED
 
     for _ in range(it_max):
         # the sparse dual itself: zero plus P_omega(y)
         op = SpLrOperator(obs, zero, y)
-        x_next, sigma_beyond, f = _shrink_at_level(op, tau, r_est, tol=tol, start=start)
-        start = f.v.sum(axis=1)
+        x_next, sigma_beyond, f = _shrink_at_level(op, tau, r_est, tol=tol, base=base,
+                                                   start=start)
+        if not _finite(f):
+            status = DIVERGED
+            break
+        start = base.warm(f)
         r_est = x_next.rank
         change = _ratio(frobenius_distance(x_next, x), x.norm())
         misfit, record = progress.step(x_next, 1, sigma_beyond, change)
@@ -686,19 +750,27 @@ def fpc(
     until ``||x_new - x||_F / max(1, ||x||_F) <= eps_3`` or 100 passes,
     warm-starting the next weight from the last iterate.  Terminates once the
     floor weight has been solved, within a global ``it_max`` budget over all
-    inner iterations.
+    inner iterations.  Every SVD, ``lambda0``'s included, starts cold from
+    :meth:`LanczosStart.from_data` and converges to ``clamp(1e-2 eps_3,
+    1e-10, 1e-6) sigma_1``; one with a non-finite value ends the run at once
+    as ``diverged``, with the last finite iterate.
     """
     check_counts(it_max=it_max)
     check_positive(floor=floor, step=step, eps_3=eps_3)
     m, n = obs.shape
     progress = _Progress(obs)
+    base = LanczosStart.from_data(obs)
+    tol = _svd_tol(eps_3)
+    x = FactoredMatrix.zero(m, n)
     if lambda0 is None:
-        sparse_op = SpLrOperator(obs, FactoredMatrix.zero(m, n), obs.values)
-        lambda0 = float(truncated_svd(sparse_op, 1, last_vector=False).sigma[0])
+        f = truncated_svd(SpLrOperator(obs, x, obs.values), 1, tol=tol, base=base,
+                          last_vector=False)
+        if not _finite(f):
+            return SolveResult(x, 0, DIVERGED, progress.trace)
+        lambda0 = float(f.sigma[0])
     if not lambda0 >= 0:
         raise ValueError("lambda0 must be nonnegative")
 
-    x = FactoredMatrix.zero(m, n)
     misfit = obs.values
     lam = lambda0
     r_est = 1
@@ -708,8 +780,10 @@ def fpc(
         for _ in range(min(_FPC_INNER_MAX, it_max - progress.iterations)):
             # the gradient step x + step * P_omega(a - x)
             op = SpLrOperator(obs, x, step * misfit)
-            x_next, sigma_beyond, _ = _shrink_at_level(op, lam * step, r_est)
+            x_next, sigma_beyond, f = _shrink_at_level(op, lam * step, r_est, tol=tol, base=base)
             del op  # frees the step-scaled misfit before the gather allocates the next
+            if not _finite(f):
+                return SolveResult(x, progress.iterations, DIVERGED, progress.trace)
             r_est = max(x_next.rank, 1)
             change = _ratio(frobenius_distance(x_next, x), max(1.0, x.norm()))
             misfit, _ = progress.step(x_next, 1, sigma_beyond, change, lam=lam)
@@ -735,7 +809,9 @@ def soft_impute(
     """Unaccelerated fixed-lam shrinkage iteration from zero.
 
     Identical to :func:`phase_two` with the extrapolation weight pinned to
-    zero (unit step on the smooth part, so the objective is nonincreasing).
+    zero (unit step on the smooth part, so the objective is nonincreasing),
+    its SVDs included: at ``eps`` they converge to ``clamp(1e-2 eps, 1e-10,
+    1e-6) sigma_1``, as single-lambda :func:`fpc`'s do at ``eps_3 = eps``.
     """
     check_counts(rank_start=rank_start)
     check_positive(lam=lam, eps=eps)

@@ -10,16 +10,18 @@ are never densified.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .factored import FactoredMatrix
-from .observed import check_counts, check_positive
+from .observed import ObservedMatrix, check_counts, check_positive
 
 DEFAULT_TOL = 1e-10
 _RESTART_BUFFER = 10
 _BREAKDOWN_REL = 1e-13
-# weight of the seeded Gaussian mixed into a warm start vector, so that every
-# direction, not only the previous factor's span, enters the Krylov space
+# weight of the cold start vector mixed into a warm start vector, so that
+# every direction, not only the previous factor's span, enters the Krylov space
 _WARM_PERTURBATION = 0.01
 # a value-only k-th triplet is accepted once the refined bound res^2 / (gap -
 # res) puts its value within this fraction of tol * sigma_1
@@ -58,6 +60,78 @@ def dense_svd(a: np.ndarray) -> FactoredMatrix:
         raise ValueError(f"dense SVD limited to min(m, n) <= 512, got {a.shape}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     return FactoredMatrix(u, s, vt.T)
+
+
+def _phi(t):
+    """The elementwise pseudo-random map that turns a probe into a start."""
+    return np.cos(997.0 * t + 0.3) + 0.5 * np.sin(3137.0 * t * t + 1.1)
+
+
+def _probe(a, at):
+    """``a^T (a 1) / ||a 1||``: zero when ``a 1`` is."""
+    s = a @ np.ones(a.shape[1])
+    norm = np.linalg.norm(s)
+    return at @ (s / norm) if norm > 0.0 else np.zeros(a.shape[1])
+
+
+@dataclass(frozen=True, eq=False)
+class LanczosStart:
+    """The start vector of a solve's Lanczos runs, derived from its data.
+
+    ``vector`` is a unit vector on the side the runs take: the data's
+    columns (length n), or with ``transposed`` its rows (length m), where
+    the runs decompose the transposed operator.  Unlike the seeded Gaussian
+    of :func:`truncated_svd`'s default, it follows the data: permuting the
+    data's rows or columns permutes it the same way or leaves it alone, and
+    transposing the data keeps it while switching the side, so a solve on
+    permuted or transposed data runs the same Lanczos iteration.
+    """
+
+    vector: np.ndarray
+    transposed: bool
+
+    @classmethod
+    def from_data(cls, obs: ObservedMatrix) -> "LanczosStart":
+        """The start for a solve on ``obs``.
+
+        With ``A`` the data divided by its largest magnitude (rounded up to
+        a power of two, which keeps the division exact), the probe is
+        ``A^T (A 1) / ||A 1||`` on the column side and ``A (A^T 1) /
+        ||A^T 1||`` on the row side.  The runs take the wider side, and for
+        square data the side whose probe has the larger norm (columns on a
+        tie).  The start is ``phi(t)`` normalized, with ``t`` the probe
+        divided by its largest magnitude (zero for a zero probe) and ``phi(t)
+        = cos(997 t + 0.3) + 0.5 sin(3137 t^2 + 1.1)`` elementwise: a
+        deterministic, scale-free spread over every direction.
+        """
+        # a power of two, so that data whose rows or columns sum to exactly
+        # zero keeps those sums zero
+        amax = np.abs(obs.values).max(initial=0.0)
+        a = obs.sparse_with(np.ldexp(obs.values, -np.frexp(amax)[1]))
+        m, n = obs.shape
+        right = _probe(a, a.T) if m <= n else None
+        left = _probe(a.T, a) if m >= n else None
+        transposed = right is None or (left is not None
+                                       and np.linalg.norm(left) > np.linalg.norm(right))
+        probe = left if transposed else right
+        pmax = np.abs(probe).max()
+        vector = _phi(probe / pmax if pmax > 0.0 else probe)
+        vector /= np.linalg.norm(vector)
+        vector.setflags(write=False)
+        return cls(vector, bool(transposed))
+
+    def warm(self, f: FactoredMatrix) -> np.ndarray:
+        """A warm start from an earlier SVD ``f``: its factor on the side
+        the runs take, summed over its columns."""
+        return (f.u if self.transposed else f.v).sum(axis=1)
+
+
+class _Transposed:
+    """The transpose of a matrix-free operator."""
+
+    def __init__(self, op):
+        self.shape = op.shape[::-1]
+        self.matvec, self.rmatvec = op.rmatvec, op.matvec
 
 
 def _orthogonalize(w, basis, j):
@@ -150,7 +224,8 @@ def _value_certified(s, residuals, k, bound):
 
 
 def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = None, *,
-                  start: np.ndarray | None = None, last_vector: bool = True) -> FactoredMatrix:
+                  start: np.ndarray | None = None, base: LanczosStart | None = None,
+                  last_vector: bool = True) -> FactoredMatrix:
     """Leading ``k`` singular triplets of a matrix-free operator.
 
     Parameters
@@ -170,9 +245,16 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         A warm start for the Lanczos run, such as the previous call's right
         factor summed over its columns on a nearby operator.  The start
         vector becomes ``start/||start|| + 0.01 g/||g||``, where ``g`` is the
-        seeded Gaussian a cold call starts from, so every direction stays in
-        the Krylov space; the result is deterministic and meets the same
+        vector a cold call starts from, so every direction stays in the
+        Krylov space; the result is deterministic and meets the same
         ``tol``.  Without ``start`` the run starts from ``g`` alone.
+    base : LanczosStart, optional
+        The cold start ``g`` and the side of the run, derived from the data
+        (:meth:`LanczosStart.from_data`).  Without it ``g`` is a seeded
+        Gaussian of length ``n``.  With ``base.transposed`` the run
+        decomposes the transposed operator, ``start`` has length ``m`` (the
+        left factor summed, :meth:`LanczosStart.warm`), and the factors
+        come back the right way round.
     last_vector : bool
         With the default True every triplet meets the residual test.  With
         False only the first ``k - 1`` do; the k-th is accepted as soon as
@@ -192,6 +274,12 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     if k > p:
         raise ValueError(f"requested {k} triplets from a {m}x{n} operator")
     check_positive(tol=tol)
+    transposed = base is not None and base.transposed
+    if transposed:
+        op = _Transposed(op)
+        m, n = n, m
+    if base is not None and base.vector.shape != (n,):
+        raise ValueError(f"base must be a vector of length {n}, got shape {base.vector.shape}")
     if start is not None:
         start = np.asarray(start, dtype=np.float64)
         if start.shape != (n,):
@@ -215,7 +303,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     # the spare column holds the last coupling beta until the next step overwrites it
     bmat = np.zeros((max_dim, max_dim + 1))
 
-    v0 = rng.standard_normal(n)
+    v0 = rng.standard_normal(n) if base is None else base.vector
     if start is not None:
         v0 = start + _WARM_PERTURBATION * (v0 / np.linalg.norm(v0))
     bv[:, 0] = v0 / np.linalg.norm(v0)
@@ -229,6 +317,8 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         uu = bu[:, :j] @ pl[:, :count]
         vv = bv[:, :prt.shape[1]] @ prt[:count, :].T
         _repair_null_columns(vv, s[:count], rng)
+        if transposed:
+            uu, vv = vv, uu
         return FactoredMatrix(uu, s[:count].copy(), vv)
 
     while True:

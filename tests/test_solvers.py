@@ -32,7 +32,7 @@ from matcomplete import (
 from matcomplete import factored, shrinkage, solvers
 from matcomplete.operators import assemble_iterate_operator
 from matcomplete.solvers import _Progress
-from matcomplete.svd import DEFAULT_TOL
+from matcomplete.svd import DEFAULT_TOL, LanczosStart
 
 from conftest import full_observed, random_factored, random_observed
 
@@ -393,35 +393,51 @@ def test_svt_parameter_validation(rng):
         svt(obs, step=0.0)
 
 
-@pytest.mark.parametrize("eps_2", [1e-4, 1e-3, 1e-12])
-def test_svt_svds_run_at_its_stop_accuracy_and_start_warm(svd_calls, eps_2):
-    inst = gen_synthetic(60, 3, 0.4, seed=4)
-    res = svt(inst.obs, eps_2=eps_2, it_max=150)
-    # some passes regrow the rank, so their extra calls are covered too
-    assert len(svd_calls) > res.iterations
-    assert all(kwargs["tol"] == max(1e-2 * eps_2, 1e-10) for kwargs, _ in svd_calls)
-    assert all(kwargs["last_vector"] is False for kwargs, _ in svd_calls)
-    assert svd_calls[0][0].get("start") is None
-    # each call starts from the one before it, within a pass and across passes
-    for (kwargs, _), (_, previous) in zip(svd_calls[1:], svd_calls):
-        assert np.array_equal(kwargs["start"], previous.v.sum(axis=1))
+# (solve at stop level eps, whether its SVDs after the first start warm)
+STOP_LEVEL_SOLVES = {
+    "svt": (lambda obs, eps: svt(obs, eps_2=eps, it_max=150), True),
+    "phase_one": (lambda obs, eps: phase_one(obs, 3, eps_rho=eps, beta=5.0), True),
+    "phase_two": (lambda obs, eps: phase_two(obs, 3, 0.5, FactoredMatrix.zero(*obs.shape),
+                                             eps_lambda=eps), False),
+    "soft_impute": (lambda obs, eps: soft_impute(obs, 0.5, eps=eps, rank_start=3), False),
+    "fpc": (lambda obs, eps: fpc(obs, eps_3=eps, step=1.5), False),
+    "frsi": (lambda obs, eps: frsi(obs, 3, eps_1=eps), False),
+}
 
 
-@pytest.mark.parametrize("solve", [
-    lambda obs: phase_two(obs, 3, 0.5, FactoredMatrix.zero(60, 60), eps_lambda=1e-8),
-    lambda obs: soft_impute(obs, 0.5, eps=1e-8, rank_start=3),
-    lambda obs: fpc(obs, eps_3=1e-4, step=1.5),
-    lambda obs: frsi(obs, 3, eps_1=1e-6),
-], ids=["phase_two", "soft_impute", "fpc", "frsi"])
-def test_other_solvers_svds_run_cold_at_default_tol(svd_calls, solve):
-    # criterion 8 and the property tests' 1e-10 bounds rest on these
-    inst = gen_synthetic(60, 3, 0.4, seed=4)
-    solve(inst.obs)
-    assert svd_calls
-    for kwargs, _ in svd_calls:
-        assert kwargs.get("tol", DEFAULT_TOL) == DEFAULT_TOL
-        assert kwargs.get("start") is None
-        assert kwargs["last_vector"] is False
+@pytest.mark.parametrize("name, eps", [
+    ("svt", 1e-4), ("svt", 1e-3), ("svt", 1e-12), ("phase_one", 1e-4), ("phase_two", 1e-8),
+    ("soft_impute", 1e-8), ("fpc", 1e-4), ("frsi", 1e-6),
+], ids=["svt-0.0001", "svt-0.001", "svt-1e-12", "phase_one-0.0001", "phase_two-1e-08",
+        "soft_impute-1e-08", "fpc-0.0001", "frsi-1e-06"])
+def test_solver_svds_run_at_their_stop_accuracy_from_the_data_start(svd_calls, name, eps):
+    # criterion 8 and the property tests' bounds rest on these: every call at
+    # clamp(1e-2 eps, 1e-10, 1e-6) of the solver's own stop level, from the
+    # data-derived start, and each warm start the previous call's factor on
+    # the run's side, summed; the data and its transpose run on both sides
+    solve, warm = STOP_LEVEL_SOLVES[name]
+    obs = gen_synthetic(60, 3, 0.4, seed=4).obs
+    tol = min(max(1e-2 * eps, 1e-10), 1e-6)
+    sides = set()
+    for data in (obs, ObservedMatrix(60, 60, obs.cols, obs.rows, obs.values)):
+        svd_calls.clear()
+        solve(data, eps)
+        base = LanczosStart.from_data(data)
+        sides.add(base.transposed)
+        assert len(svd_calls) >= 3
+        for kwargs, _ in svd_calls:
+            assert kwargs["tol"] == tol
+            assert kwargs["last_vector"] is False
+            assert np.array_equal(kwargs["base"].vector, base.vector)
+            assert kwargs["base"].transposed == base.transposed
+        assert svd_calls[0][0].get("start") is None
+        for (kwargs, _), (_, previous) in zip(svd_calls[1:], svd_calls):
+            if warm:
+                side = previous.u if base.transposed else previous.v
+                assert np.array_equal(kwargs["start"], side.sum(axis=1))
+            else:
+                assert kwargs.get("start") is None
+    assert sides == {False, True}
 
 
 @pytest.mark.parametrize("solve", [
@@ -822,3 +838,71 @@ def test_overflowing_data_norm_fails_before_any_svd(no_svd, solve):
     obs = scaled_observed(gen_synthetic(20, 2, 0.5, seed=2).obs, 1e200)
     with pytest.raises(ValueError, match="rescale"):
         solve(obs)
+
+
+# --- a non-finite SVD value ---
+
+
+def poison_svd(monkeypatch, poisoned):
+    """Puts a NaN into sigma_1 of every SVD call ``poisoned(kwargs, call)``
+    selects, ``call`` counting from 1; returns the list of calls made."""
+    calls = []
+    original = solvers.truncated_svd
+
+    def poisoning(op, k, **kwargs):
+        f = original(op, k, **kwargs)
+        calls.append(f)
+        if poisoned(kwargs, len(calls)):
+            f = FactoredMatrix(f.u, np.r_[math.nan, f.sigma[1:]], f.v)
+        return f
+
+    monkeypatch.setattr(solvers, "truncated_svd", poisoning)
+    return calls
+
+
+NAN_SOLVES = {
+    "two_phase": lambda obs: two_phase(obs, SolverConfig(r=2)),
+    "phase_two": lambda obs: phase_two(obs, 2, 1.0, FactoredMatrix.zero(*obs.shape)),
+    "soft_impute": lambda obs: soft_impute(obs, 1.0, rank_start=2),
+    "frsi": lambda obs: frsi(obs, 2),
+    "svt": lambda obs: svt(obs),
+    "fpc": lambda obs: fpc(obs),
+}
+
+
+@pytest.mark.parametrize("call", [1, 3])
+@pytest.mark.parametrize("name", NAN_SOLVES)
+def test_a_nan_svd_value_ends_the_solve_as_diverged(monkeypatch, name, call):
+    # the stop tests used to read it: soft_threshold drops a NaN sigma_1, so
+    # soft_impute and fpc saw a zero change and reported converged, and
+    # phase one never stabilized on a NaN anchor before phase two converged
+    obs = gen_synthetic(40, 2, 0.5, seed=1).obs
+    calls = poison_svd(monkeypatch, lambda kwargs, i: i == call)
+    res = NAN_SOLVES[name](obs)
+    assert res.status == DIVERGED
+    assert len(calls) == call
+    # stopped at once: no record for the poisoned pass, and no SVD after it
+    assert len(res.trace) == res.iterations < call
+    assert all(np.isfinite(a).all() for a in (res.x.u, res.x.sigma, res.x.v))
+
+
+def test_a_nan_in_phase_two_ends_two_phase_as_diverged(monkeypatch):
+    obs = gen_synthetic(40, 2, 0.5, seed=1).obs
+    ref = two_phase(obs, SolverConfig(r=2))
+    assert ref.status == CONVERGED and ref.phase_split[1] >= 3
+    # phase two's SVDs converge to 1e-2 eps_lambda = 1e-8, phase one's to 1e-6
+    calls = poison_svd(monkeypatch, lambda kwargs, i: kwargs["tol"] < 1e-7)
+    res = two_phase(obs, SolverConfig(r=2))
+    assert res.status == DIVERGED
+    # phase two's first step is phase one's exit SVD, so its first SVD is its second step
+    assert res.phase_split == (ref.phase_split[0], 1)
+    assert len(calls) == ref.phase_split[0] + 1
+
+
+def test_a_nan_ends_phase_one_as_diverged(monkeypatch):
+    obs = gen_synthetic(40, 2, 0.5, seed=1).obs
+    poison_svd(monkeypatch, lambda kwargs, i: i == 2)
+    p1 = phase_one(obs, 2)
+    assert p1.diverged and not p1.stabilized
+    assert p1.iterations == 1
+    assert np.isfinite(p1.rho)

@@ -3,6 +3,7 @@ import pytest
 
 from matcomplete import (
     FactoredMatrix,
+    LanczosStart,
     ObservedMatrix,
     TruncatedSvdError,
     assemble_iterate_operator,
@@ -380,3 +381,130 @@ def test_factors_stay_orthonormal_on_clustered_singular_values(last_vector):
     f = truncated_svd(op, 14, last_vector=last_vector)
     f.validate(1e-12)
     assert np.abs(f.sigma - sigma[:14]).max() <= 1e-10
+
+
+# --- the data-derived start ---
+
+
+def transposed(obs):
+    return ObservedMatrix(obs.n, obs.m, obs.cols, obs.rows, obs.values)
+
+
+def zero_sum_rows(rng, m, n):
+    """Integer entries whose rows sum to exactly zero."""
+    a = rng.integers(-5, 6, (m, n)).astype(float)
+    a[:, -1] = -a[:, :-1].sum(axis=1)
+    return a
+
+
+def clustered(rng, m, n):
+    # ten singular values within 1e-9 of each other, then a slow decay
+    u, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.r_[1.0 + 1e-9 * np.arange(10)[::-1], 0.5 * 0.97 ** np.arange(n - 10)]) @ v.T
+
+
+def block_diagonal(rng, n, b):
+    a = np.zeros((n, n))
+    a[:b, :b] = 10 * rng.standard_normal((b, b))
+    a[b:, b:] = rng.standard_normal((n - b, n - b))
+    return a
+
+
+def doubly_centered(rng, n):
+    a = zero_sum_rows(rng, n, n)
+    a[-1, :] = -a[:-1, :].sum(axis=0)
+    return a
+
+
+ADVERSARIAL = {
+    "duplicated-columns": lambda rng: rng.standard_normal((50, 20))[:, np.r_[0:20, 0:20, 3, 7]],
+    "negated-columns": lambda rng: (lambda b: np.c_[b, -b])(rng.standard_normal((45, 20))),
+    "block-diagonal": lambda rng: block_diagonal(rng, 80, 15),
+    "zero-mean-rows": lambda rng: zero_sum_rows(rng, 30, 60),
+    "doubly-centered": lambda rng: doubly_centered(rng, 40),
+    "clustered-spectrum": lambda rng: clustered(rng, 90, 70),
+    "zero": lambda rng: np.zeros((20, 30)),
+}
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_data_start_meets_the_contract_on_adversarial_operators(name):
+    # a deterministic start could in principle miss a direction: columns tied
+    # in the probe get equal start entries, which no Krylov vector then
+    # separates.  They are exchangeable only on the null space, and a start
+    # orthogonal to the data (a constant one on rows that sum to zero) breaks
+    # down at once and continues on fresh directions
+    rng = np.random.default_rng(sorted(ADVERSARIAL).index(name))
+    a = ADVERSARIAL[name](rng)
+    for obs in (full_observed(a), transposed(full_observed(a))):
+        base = LanczosStart.from_data(obs)
+        m, n = obs.shape
+        if m != n:
+            assert base.transposed == (m > n)
+        assert base.vector.shape == (max(m, n),)
+        assert np.linalg.norm(base.vector) == pytest.approx(1.0, abs=1e-15)
+        if name in ("zero-mean-rows", "doubly-centered", "zero"):
+            assert np.ptp(base.vector) == 0.0
+        op = assemble_iterate_operator(obs, FactoredMatrix.zero(m, n))
+        oracle = dense_svd(op.dense())
+        s1 = max(oracle.sigma[0], 1e-300)
+        k = min(14, min(m, n) - 1)
+        for tol in (1e-10, 1e-6):
+            for last_vector in (True, False):
+                f = truncated_svd(op, k, tol=tol, base=base, last_vector=last_vector)
+                f.validate(1e-12)
+                # each value lies within tol sigma_1 of a singular value; at
+                # 1e-6 a single-vector Krylov space may stop before it has
+                # found every member of a 1e-9 cluster, whatever its start
+                near = np.abs(f.sigma[:, None] - oracle.sigma[None, :]).min(axis=1)
+                assert near.max() <= tol * s1
+                if tol == 1e-10:
+                    assert np.abs(f.sigma - oracle.sigma[:k]).max() <= tol * s1
+                for i in range(k if last_vector else k - 1):
+                    res = max(np.linalg.norm(op.matvec(f.v[:, i]) - f.sigma[i] * f.u[:, i]),
+                              np.linalg.norm(op.rmatvec(f.u[:, i]) - f.sigma[i] * f.v[:, i]))
+                    assert res <= 1.01 * tol * s1
+
+
+def test_data_start_takes_the_wider_side_and_follows_a_transpose(rng):
+    for m, n in ((20, 35), (35, 20), (30, 30)):
+        obs = random_observed(rng, m, n, 0.5)
+        base, flipped = LanczosStart.from_data(obs), LanczosStart.from_data(transposed(obs))
+        if m != n:
+            assert (base.transposed, flipped.transposed) == (m > n, n > m)
+        # a transposed data's probe is the data's probe on the other side
+        assert flipped.transposed != base.transposed
+        assert np.allclose(flipped.vector, base.vector, rtol=0, atol=1e-12)
+
+
+def test_data_start_follows_permutations_and_scale(rng):
+    obs = random_observed(rng, 25, 40, 0.5)
+    base = LanczosStart.from_data(obs)
+    pr, pc = rng.permutation(25), rng.permutation(40)
+    permuted = ObservedMatrix(25, 40, np.argsort(pr)[obs.rows], np.argsort(pc)[obs.cols],
+                              obs.values)
+    # entry j of the permuted data's start is entry pc[j] of the data's
+    assert np.allclose(LanczosStart.from_data(permuted).vector, base.vector[pc], rtol=0, atol=1e-12)
+    for s in (1e-300, 1e300):
+        scaled = ObservedMatrix(25, 40, obs.rows, obs.cols, s * obs.values)
+        assert np.allclose(LanczosStart.from_data(scaled).vector, base.vector, rtol=0, atol=1e-12)
+
+
+def test_data_start_runs_on_its_side_and_returns_factors_the_right_way_round(rng):
+    obs = random_observed(rng, 40, 25, 0.5)
+    base = LanczosStart.from_data(obs)
+    assert base.transposed
+    op = assemble_iterate_operator(obs, FactoredMatrix.zero(40, 25))
+    first = truncated_svd(op, 4, base=base)
+    assert (first.u.shape, first.v.shape) == ((40, 4), (25, 4))
+    warm = truncated_svd(op, 4, base=base, start=base.warm(first))
+    oracle = dense_svd(op.dense())
+    for f in (first, warm):
+        f.validate(1e-12)
+        assert np.abs(f.sigma - oracle.sigma[:4]).max() <= 1e-10 * oracle.sigma[0]
+    assert np.array_equal(base.warm(first), first.u.sum(axis=1))
+    with pytest.raises(ValueError, match="start must be a vector of length 40"):
+        truncated_svd(op, 4, base=base, start=np.ones(25))
+    with pytest.raises(ValueError, match="base must be a vector of length 40"):
+        truncated_svd(op, 4, base=LanczosStart(np.ones(25) / 5.0, True))
