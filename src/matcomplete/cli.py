@@ -9,22 +9,28 @@ import sys
 from .bench import METHODS, OUT_DIR_ENV, TOLERANCE_BUNDLES, run_beta_sweep, run_movielens, run_synth, run_trace
 
 
+def _items(text: str, what: str) -> list[str]:
+    """The nonblank items of a comma list; a list with none is an error."""
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"at least one {what} required")
+    return items
+
+
 def _methods_list(text: str) -> list[str]:
-    methods = [t.strip() for t in text.split(",") if t.strip()]
+    methods = _items(text, "method")
     for m in methods:
         if m not in METHODS:
             raise argparse.ArgumentTypeError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-    if not methods:
-        raise argparse.ArgumentTypeError("at least one method required")
     return methods
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+    return [float(t) for t in _items(text, "value")]
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    return [int(t) for t in _items(text, "value")]
 
 
 def _add_out_dir(parser):

@@ -197,10 +197,9 @@ class PhaseOneResult:
     step at ``lam = rho`` from ``z``.  It is None when phase one did not
     stabilize.  ``z_misfit`` is ``a - P_omega(z)`` on the observed entries,
     which the last fill-in operator carried by linearity; phase two takes it
-    instead of gathering ``z`` again.  ``lanczos_start`` is the start its
-    SVDs took, derived from the data, which phase two takes too.
-    ``diverged`` is set when an SVD returned a non-finite value; phase one
-    then stopped at once, and ``x_last`` is the last finite iterate.
+    instead of gathering ``z`` again.  ``diverged`` is set when an SVD
+    returned a non-finite value; phase one then stopped at once, and
+    ``x_last`` is the last finite iterate.
     """
 
     z: FactoredMatrix
@@ -212,21 +211,46 @@ class PhaseOneResult:
     trace: SolveTrace
     first_iterate: FactoredMatrix | None = None
     z_misfit: np.ndarray | None = None
-    lanczos_start: LanczosStart | None = None
     diverged: bool = False
 
 
 class _Progress:
-    """One solver's per-iteration bookkeeping, built before its first SVD so
-    that data whose norm overflows fails first: each new iterate's misfit and
-    trace record, and the run of consecutive frozen steps."""
+    """One solver's per-iteration bookkeeping: its SVDs, each new iterate's
+    misfit and trace record, and the run of consecutive frozen steps.  It is
+    built before the first SVD, so data whose norm overflows fails first.
 
-    def __init__(self, obs: ObservedMatrix, trace: SolveTrace | None = None):
+    Every SVD a solver makes goes through :meth:`svd`, under one rule.  It
+    starts from the data-derived start (:meth:`LanczosStart.from_data`) and
+    converges its triplets to ``clamp(1e-2 eps, 1e-10, 1e-6) sigma_1``, where
+    ``eps`` is the solver's own stop level: its stop test reads its ratios
+    only to that level.  The first SVD starts cold; each later one, rank
+    regrowths included, starts warm from the one before, since consecutive
+    fill-in matrices differ little.
+    """
+
+    def __init__(self, obs: ObservedMatrix, eps: float, trace: SolveTrace | None = None):
         self.obs = obs
         self.obs_norm = _data_norm(obs)
         self.trace = trace if trace is not None else SolveTrace()
         self._first = len(self.trace)
         self._frozen_runs = 0
+        self._base = LanczosStart.from_data(obs)
+        self._tol = _svd_tol(eps)
+        self._start = None
+
+    def svd(self, op, k: int) -> FactoredMatrix | None:
+        """The leading ``k`` triplets of ``op``.  The k-th is read as a value
+        only (``last_vector=False``), still within the tolerance: every caller
+        shrinks it to zero or reads only its value.  None when a value is not
+        finite; the solver then stops as diverged, since its stop test would
+        read the NaN, or an iterate that :func:`soft_threshold` shrank to zero
+        by dropping it, and could pass."""
+        f = truncated_svd(op, k, tol=self._tol, start=self._start, base=self._base,
+                          last_vector=False)
+        if not np.isfinite(f.sigma).all():
+            return None
+        self._start = self._base.warm(f)
+        return f
 
     @property
     def iterations(self) -> int:
@@ -319,15 +343,9 @@ def _svd_tol(eps: float) -> float:
     return min(max(_SVD_ACCURACY * eps, DEFAULT_TOL), _SVD_TOL_MAX)
 
 
-def _finite(f: FactoredMatrix) -> bool:
-    """Whether an SVD's values are all finite.  A solver stops as diverged
-    when they are not: its stop test would read the NaN, or an iterate that
-    :func:`soft_threshold` shrank to zero by dropping it, and could pass."""
-    return bool(np.isfinite(f.sigma).all())
-
-
-def _shrink_at_level(op, level, r_est, *, tol, base, start=None):
-    """Shrink the operator's matrix by ``level``: ``(S_level(op), sigma_beyond, f)``.
+def _shrink_at_level(progress, op, level, r_est):
+    """Shrink the operator's matrix by ``level``: ``(S_level(op), sigma_beyond)``,
+    or None when an SVD returned a non-finite value.
 
     Computes enough leading triplets that everything left out lies below
     ``level``: starts by asking for ``r_est + 1`` triplets and grows the
@@ -336,38 +354,30 @@ def _shrink_at_level(op, level, r_est, *, tol, base, start=None):
     exhausted, or the full decomposition is reached.  The increment doubles
     on repeated growth within one call so a badly cold estimate costs O(log)
     recomputations.  ``sigma_beyond`` is that last value when it lies below
-    ``level`` (the largest value shrunk to zero), else NaN.  ``f`` is the last
-    SVD computed, before shrinking: it includes the triplet below ``level``.
+    ``level`` (the largest value shrunk to zero), else NaN.
 
-    Every SVD converges to ``tol * sigma_1``, except for the vectors of its
-    last triplet (``last_vector=False``): that triplet is either shrunk to
-    zero, since its value lies below ``level`` or at most ``1e-15 sigma_1``
-    (a tie that :func:`soft_threshold` drops), or it comes from the full
-    decomposition (``kk == min(m, n)``), which is exact.  Its value stays
-    within ``tol * sigma_1``.  Every SVD starts from the solve's data-derived
-    ``base``.  With ``start`` the first SVD starts its Lanczos run warm from
-    ``start`` and each regrowth from the previous SVD (``base.warm``),
-    instead of throwing that basis away; with ``start=None`` every SVD
-    starts cold.  A non-finite value ends the regrowth.
+    The SVDs are ``progress.svd``'s, so the last triplet's vectors are not
+    converged: that triplet is either shrunk to zero, since its value lies
+    below ``level`` or at most ``1e-15 sigma_1`` (a tie that
+    :func:`soft_threshold` drops), or it comes from the full decomposition
+    (``k == min(m, n)``), which is exact.
     """
     p = min(op.shape)
     cap = p - 1
     r_try = min(max(r_est, 0), cap)
     grow = _RANK_BUMP
     while True:
-        kk = min(r_try + 1, p)
-        f = truncated_svd(op, kk, tol=tol, start=start, base=base, last_vector=False)
+        f = progress.svd(op, min(r_try + 1, p))
+        if f is None:
+            return None
         s_last = f.sigma[-1]
-        # grow while the last value is above the level and not a tie with
-        # zero; a NaN compares false and stops it
+        # grow while the last value is above the level and not a tie with zero
         if not (r_try < cap and s_last >= level and s_last > f.sigma[0] * 1e-15):
             break
-        if start is not None:
-            start = base.warm(f)
         r_try = min(r_try + grow, cap)
         grow *= 2
     sigma_beyond = s_last if s_last < level else math.nan
-    return soft_threshold(f, level), sigma_beyond, f
+    return soft_threshold(f, level), sigma_beyond
 
 
 def phase_one(
@@ -396,15 +406,10 @@ def phase_one(
     demand near-absolute stabilization of a quantity that lives at the data's
     scale.
 
-    The first SVD starts from the data-derived start
-    (:meth:`LanczosStart.from_data`), each later one warm from the previous
-    SVD's factor on the run's side, summed over its columns: consecutive
-    fill-in matrices differ little.  Each converges its first r triplets to
-    ``clamp(1e-2 eps_rho, 1e-10, 1e-6) sigma_1`` (1e-6 at the default
-    ``eps_rho``) but reads the (r+1)-th only as a value
-    (``last_vector=False``): ``rho`` feeds the stop test and the shrinkage
-    that sends that triplet to zero.  An SVD with a non-finite value stops
-    phase one at once, as ``diverged``.
+    The SVDs follow :class:`_Progress`'s rule at ``eps_rho``; the (r+1)-th
+    triplet is read only as a value, since ``rho`` feeds the stop test and
+    the shrinkage that sends that triplet to zero.  An SVD with a non-finite
+    value stops phase one at once, as ``diverged``.
     The momentum point reaches the SVD as the two iterates' factor pairs
     (:class:`FactoredSum`); it is refactored into one orthonormal
     factorization only at the exit, as the returned ``z``, and for the
@@ -421,9 +426,7 @@ def phase_one(
     check_positive(eps_rho=eps_rho, beta=beta)
     m, n = obs.shape
     p = min(m, n)
-    progress = _Progress(obs, trace)
-    base = LanczosStart.from_data(obs)
-    tol = _svd_tol(eps_rho)
+    progress = _Progress(obs, eps_rho, trace)
     x_prev = FactoredMatrix.zero(m, n)
     misfit_prev = obs.values
     op = SpLrOperator(obs, x_prev, misfit_prev)
@@ -433,14 +436,12 @@ def phase_one(
     anchor = np.finfo(float).tiny
     stabilized = diverged = False
     first_iterate = None
-    start = None
 
     for j in range(1, w + 1):
-        f = truncated_svd(op, min(r + 1, p), tol=tol, start=start, base=base, last_vector=False)
-        if not _finite(f):
+        f = progress.svd(op, min(r + 1, p))
+        if f is None:
             diverged = True
             break
-        start = base.warm(f)
         rho = float(f.sigma[r]) if r < p else 0.0
         sigma_top = float(f.sigma[0])
         if j == 1:
@@ -465,7 +466,7 @@ def phase_one(
         rho_prev = rho
 
     return PhaseOneResult(_combined(op.z), rho, x_prev, progress.iterations, stabilized,
-                          sigma_top, progress.trace, first_iterate, op.residual, base, diverged)
+                          sigma_top, progress.trace, first_iterate, op.residual, diverged=diverged)
 
 
 def phase_two(
@@ -481,7 +482,6 @@ def phase_two(
     phase: int = 2,
     first_iterate: FactoredMatrix | None = None,
     x0_misfit: np.ndarray | None = None,
-    lanczos_start: LanczosStart | None = None,
 ) -> SolveResult:
     """Accelerated proximal iteration for the fixed-lam regularized problem.
 
@@ -504,12 +504,9 @@ def phase_two(
     on the observed entries (``PhaseOneResult.z_misfit``); it replaces the
     gather of ``x0``.
 
-    Every SVD starts cold from ``lanczos_start``
-    (``PhaseOneResult.lanczos_start``), or from
-    :meth:`LanczosStart.from_data` when it is None, and converges to
-    ``clamp(1e-2 eps_lambda, 1e-10, 1e-6) sigma_1``.  An SVD with a
-    non-finite value ends the run at once as ``diverged``, with the last
-    finite iterate.
+    The SVDs follow :class:`_Progress`'s rule at ``eps_lambda``.  An SVD
+    with a non-finite value ends the run at once as ``diverged``, with the
+    last finite iterate.
     """
     check_counts(r=r, it_max=it_max)
     check_positive(lam=lam, eps_lambda=eps_lambda)
@@ -521,9 +518,7 @@ def phase_two(
     if x0_misfit is not None and np.shape(x0_misfit) != obs.values.shape:
         raise ValueError(f"x0_misfit must hold one value per observed entry ({obs.nnz}), "
                          f"got shape {np.shape(x0_misfit)}")
-    progress = _Progress(obs, trace)
-    base = lanczos_start if lanczos_start is not None else LanczosStart.from_data(obs)
-    tol = _svd_tol(eps_lambda)
+    progress = _Progress(obs, eps_lambda, trace)
     x_prev = x0
     # the first step has theta = 0, so this buffer is never written into
     misfit_prev = _misfit(x0, obs) if x0_misfit is None else x0_misfit
@@ -538,10 +533,11 @@ def phase_two(
         if op is None:
             x_k, sigma_beyond = first_iterate, lam
         else:
-            x_k, sigma_beyond, f = _shrink_at_level(op, lam, r_est, tol=tol, base=base)
-            if not _finite(f):
+            shrunk = _shrink_at_level(progress, op, lam, r_est)
+            if shrunk is None:
                 x_k, status = x_prev, DIVERGED
                 break
+            x_k, sigma_beyond = shrunk
         # frees its residual buffer before the gather, and leaves no live
         # operator reading the misfit_prev that _momentum_operator rewrites
         op = None
@@ -584,9 +580,8 @@ def two_phase(
     off its exit SVD (``PhaseOneResult.first_iterate``), and its start's
     misfit the one phase one carried (``PhaseOneResult.z_misfit``), so the
     solve makes one SVD call and one gather fewer than it has iterations
-    when phase one stabilizes.  Both phases start their SVDs from one
-    data-derived start (``PhaseOneResult.lanczos_start``).  When phase one
-    diverged, so does the solve, with phase one's last finite iterate.
+    when phase one stabilizes.  When phase one diverged, so does the solve,
+    with phase one's last finite iterate.
     """
     trace = SolveTrace()
     p1 = phase_one(obs, config.r, config.eps_rho, config.w, config.beta,
@@ -595,8 +590,7 @@ def two_phase(
         return SolveResult(p1.x_last, p1.iterations, DIVERGED if p1.diverged else CONVERGED,
                            trace, phase_split=(p1.iterations, 0))
     p2 = phase_two(obs, config.r, p1.rho, p1.z, config.eps_lambda, config.it_max, trace=trace,
-                   first_iterate=p1.first_iterate, x0_misfit=p1.z_misfit,
-                   lanczos_start=p1.lanczos_start)
+                   first_iterate=p1.first_iterate, x0_misfit=p1.z_misfit)
     total = p1.iterations + p2.iterations
     return SolveResult(p2.x, total, p2.status, trace,
                        phase_split=(p1.iterations, p2.iterations))
@@ -616,16 +610,14 @@ def frsi(
     ``min(omega-residual ratio, iterate-change ratio) <= eps_1``.  The two
     ratios pair adjacent iterates: at the step that produced ``x_new`` the
     residual is the previous iterate's and the change spans the pair, so the
-    test first fires one step after the residual criterion is met.  Every
-    SVD starts cold from :meth:`LanczosStart.from_data` and converges to
-    ``clamp(1e-2 eps_1, 1e-10, 1e-6) sigma_1``; one with a non-finite value
-    ends the run at once as ``diverged``, with the last finite iterate.
+    test first fires one step after the residual criterion is met.  The
+    SVDs follow :class:`_Progress`'s rule at ``eps_1``; one with a
+    non-finite value ends the run at once as ``diverged``, with the last
+    finite iterate.
     """
     check_counts(r=r, it_max=it_max)
     check_positive(eps_1=eps_1)
-    progress = _Progress(obs)
-    base = LanczosStart.from_data(obs)
-    tol = _svd_tol(eps_1)
+    progress = _Progress(obs, eps_1)
     p = min(obs.shape)
     x = FactoredMatrix.zero(*obs.shape)
     misfit = obs.values
@@ -634,9 +626,8 @@ def frsi(
 
     for _ in range(it_max):
         # the fixed-rank step, on the misfit carried over from the last pass
-        f = truncated_svd(SpLrOperator(obs, x, misfit), min(r + 1, p), tol=tol, base=base,
-                          last_vector=False)
-        if not _finite(f):
+        f = progress.svd(SpLrOperator(obs, x, misfit), min(r + 1, p))
+        if f is None:
             status = DIVERGED
             break
         rho = float(f.sigma[r]) if r < p else 0.0
@@ -677,15 +668,10 @@ def svt(
     residual ratio exceeds ``1e4`` (or is not finite) svt stops with status
     ``diverged`` and the iterate of that pass, before anything overflows.
 
-    Its SVDs converge to ``clamp(1e-2 eps_2, 1e-10, 1e-6) * sigma_1``: the
-    stop test reads the residual ratio only to ``eps_2``.  The first SVD
-    starts cold from :meth:`LanczosStart.from_data`.  From the second pass
-    on, each SVD starts its Lanczos run warm from the factor on the run's
-    side, summed over its columns, of the previous pass's full SVD (the
-    triplet below ``tau`` included, also while the iterate is still zero),
-    and a rank regrowth starts from the SVD it replaces: the dual moves
-    little between passes.  An SVD with a non-finite value also ends the
-    run as ``diverged``, with the last finite iterate.
+    The SVDs follow :class:`_Progress`'s rule at ``eps_2``: each warm start
+    reads the previous SVD in full, the triplet below ``tau`` included, also
+    while the iterate is still zero.  An SVD with a non-finite value also
+    ends the run as ``diverged``, with the last finite iterate.
     """
     m, n = obs.shape
     tau = 5.0 * n if m == n else 8.0 * math.sqrt(m * n)
@@ -693,25 +679,21 @@ def svt(
         step = 1.2 * m * n / obs.nnz if obs.nnz else 1.99
     check_counts(it_max=it_max)
     check_positive(step=step, eps_2=eps_2)
-    progress = _Progress(obs)
-    base = LanczosStart.from_data(obs)
-    tol = _svd_tol(eps_2)
+    progress = _Progress(obs, eps_2)
     zero = FactoredMatrix.zero(m, n)
     y = np.zeros(obs.nnz)
     x = zero
     r_est = 0
-    start = None
     status = BUDGET_EXHAUSTED
 
     for _ in range(it_max):
         # the sparse dual itself: zero plus P_omega(y)
         op = SpLrOperator(obs, zero, y)
-        x_next, sigma_beyond, f = _shrink_at_level(op, tau, r_est, tol=tol, base=base,
-                                                   start=start)
-        if not _finite(f):
+        shrunk = _shrink_at_level(progress, op, tau, r_est)
+        if shrunk is None:
             status = DIVERGED
             break
-        start = base.warm(f)
+        x_next, sigma_beyond = shrunk
         r_est = x_next.rank
         change = _ratio(frobenius_distance(x_next, x), x.norm())
         misfit, record = progress.step(x_next, 1, sigma_beyond, change)
@@ -750,22 +732,18 @@ def fpc(
     until ``||x_new - x||_F / max(1, ||x||_F) <= eps_3`` or 100 passes,
     warm-starting the next weight from the last iterate.  Terminates once the
     floor weight has been solved, within a global ``it_max`` budget over all
-    inner iterations.  Every SVD, ``lambda0``'s included, starts cold from
-    :meth:`LanczosStart.from_data` and converges to ``clamp(1e-2 eps_3,
-    1e-10, 1e-6) sigma_1``; one with a non-finite value ends the run at once
-    as ``diverged``, with the last finite iterate.
+    inner iterations.  The SVDs, ``lambda0``'s included, follow
+    :class:`_Progress`'s rule at ``eps_3``; one with a non-finite value ends
+    the run at once as ``diverged``, with the last finite iterate.
     """
     check_counts(it_max=it_max)
     check_positive(floor=floor, step=step, eps_3=eps_3)
     m, n = obs.shape
-    progress = _Progress(obs)
-    base = LanczosStart.from_data(obs)
-    tol = _svd_tol(eps_3)
+    progress = _Progress(obs, eps_3)
     x = FactoredMatrix.zero(m, n)
     if lambda0 is None:
-        f = truncated_svd(SpLrOperator(obs, x, obs.values), 1, tol=tol, base=base,
-                          last_vector=False)
-        if not _finite(f):
+        f = progress.svd(SpLrOperator(obs, x, obs.values), 1)
+        if f is None:
             return SolveResult(x, 0, DIVERGED, progress.trace)
         lambda0 = float(f.sigma[0])
     if not lambda0 >= 0:
@@ -780,10 +758,11 @@ def fpc(
         for _ in range(min(_FPC_INNER_MAX, it_max - progress.iterations)):
             # the gradient step x + step * P_omega(a - x)
             op = SpLrOperator(obs, x, step * misfit)
-            x_next, sigma_beyond, f = _shrink_at_level(op, lam * step, r_est, tol=tol, base=base)
+            shrunk = _shrink_at_level(progress, op, lam * step, r_est)
             del op  # frees the step-scaled misfit before the gather allocates the next
-            if not _finite(f):
+            if shrunk is None:
                 return SolveResult(x, progress.iterations, DIVERGED, progress.trace)
+            x_next, sigma_beyond = shrunk
             r_est = max(x_next.rank, 1)
             change = _ratio(frobenius_distance(x_next, x), max(1.0, x.norm()))
             misfit, _ = progress.step(x_next, 1, sigma_beyond, change, lam=lam)
@@ -810,8 +789,8 @@ def soft_impute(
 
     Identical to :func:`phase_two` with the extrapolation weight pinned to
     zero (unit step on the smooth part, so the objective is nonincreasing),
-    its SVDs included: at ``eps`` they converge to ``clamp(1e-2 eps, 1e-10,
-    1e-6) sigma_1``, as single-lambda :func:`fpc`'s do at ``eps_3 = eps``.
+    its SVDs included: at ``eps`` they follow :class:`_Progress`'s rule as
+    single-lambda :func:`fpc`'s do at ``eps_3 = eps``.
     """
     check_counts(rank_start=rank_start)
     check_positive(lam=lam, eps=eps)

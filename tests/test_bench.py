@@ -198,6 +198,18 @@ def test_cli_rejects_bad_method(capsys):
         main(["synth", "--n", "30", "--r", "2", "--p", "0.3", "--methods", "bogus"])
 
 
+@pytest.mark.parametrize("command", [
+    ["beta-sweep", "--n", "25", "--r", "2", "--p", "0.4", "--beta", ",", "--w", "20"],
+    ["movielens", "--dataset", "ratings.dat", "--r", ","],
+], ids=["beta-sweep", "movielens"])
+def test_cli_rejects_empty_lists(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "at least one value required" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_missing_dataset_is_clear_error(tmp_path, capsys):
     code = main(["movielens", "--dataset", str(tmp_path / "none.dat"), "--out-dir",
                  str(tmp_path / "o")])

@@ -393,16 +393,33 @@ def test_svt_parameter_validation(rng):
         svt(obs, step=0.0)
 
 
-# (solve at stop level eps, whether its SVDs after the first start warm)
+# each solve at its stop level eps
 STOP_LEVEL_SOLVES = {
-    "svt": (lambda obs, eps: svt(obs, eps_2=eps, it_max=150), True),
-    "phase_one": (lambda obs, eps: phase_one(obs, 3, eps_rho=eps, beta=5.0), True),
-    "phase_two": (lambda obs, eps: phase_two(obs, 3, 0.5, FactoredMatrix.zero(*obs.shape),
-                                             eps_lambda=eps), False),
-    "soft_impute": (lambda obs, eps: soft_impute(obs, 0.5, eps=eps, rank_start=3), False),
-    "fpc": (lambda obs, eps: fpc(obs, eps_3=eps, step=1.5), False),
-    "frsi": (lambda obs, eps: frsi(obs, 3, eps_1=eps), False),
+    "svt": lambda obs, eps: svt(obs, eps_2=eps, it_max=150),
+    "phase_one": lambda obs, eps: phase_one(obs, 3, eps_rho=eps, beta=5.0),
+    "phase_two": lambda obs, eps: phase_two(obs, 3, 0.5, FactoredMatrix.zero(*obs.shape),
+                                            eps_lambda=eps),
+    "soft_impute": lambda obs, eps: soft_impute(obs, 0.5, eps=eps, rank_start=3),
+    "fpc": lambda obs, eps: fpc(obs, eps_3=eps, step=1.5),
+    "frsi": lambda obs, eps: frsi(obs, 3, eps_1=eps),
 }
+
+
+def assert_one_svd_rule(calls, data, tol):
+    """Every call at ``tol`` from the data-derived start, reading the last
+    triplet as a value; the first cold, each later one warm from the call
+    before it: that call's factor on the run's side, summed."""
+    base = LanczosStart.from_data(data)
+    for kwargs, _ in calls:
+        assert kwargs["tol"] == tol
+        assert kwargs["last_vector"] is False
+        assert np.array_equal(kwargs["base"].vector, base.vector)
+        assert kwargs["base"].transposed == base.transposed
+    assert calls[0][0]["start"] is None
+    for (kwargs, _), (_, previous) in zip(calls[1:], calls):
+        side = previous.u if base.transposed else previous.v
+        assert np.array_equal(kwargs["start"], side.sum(axis=1))
+    return base
 
 
 @pytest.mark.parametrize("name, eps", [
@@ -412,32 +429,30 @@ STOP_LEVEL_SOLVES = {
         "soft_impute-1e-08", "fpc-0.0001", "frsi-1e-06"])
 def test_solver_svds_run_at_their_stop_accuracy_from_the_data_start(svd_calls, name, eps):
     # criterion 8 and the property tests' bounds rest on these: every call at
-    # clamp(1e-2 eps, 1e-10, 1e-6) of the solver's own stop level, from the
-    # data-derived start, and each warm start the previous call's factor on
-    # the run's side, summed; the data and its transpose run on both sides
-    solve, warm = STOP_LEVEL_SOLVES[name]
+    # clamp(1e-2 eps, 1e-10, 1e-6) of the solver's own stop level, the first
+    # cold and each later one warm from the one before; the data and its
+    # transpose run on both sides
     obs = gen_synthetic(60, 3, 0.4, seed=4).obs
     tol = min(max(1e-2 * eps, 1e-10), 1e-6)
     sides = set()
     for data in (obs, ObservedMatrix(60, 60, obs.cols, obs.rows, obs.values)):
         svd_calls.clear()
-        solve(data, eps)
-        base = LanczosStart.from_data(data)
-        sides.add(base.transposed)
+        STOP_LEVEL_SOLVES[name](data, eps)
         assert len(svd_calls) >= 3
-        for kwargs, _ in svd_calls:
-            assert kwargs["tol"] == tol
-            assert kwargs["last_vector"] is False
-            assert np.array_equal(kwargs["base"].vector, base.vector)
-            assert kwargs["base"].transposed == base.transposed
-        assert svd_calls[0][0].get("start") is None
-        for (kwargs, _), (_, previous) in zip(svd_calls[1:], svd_calls):
-            if warm:
-                side = previous.u if base.transposed else previous.v
-                assert np.array_equal(kwargs["start"], side.sum(axis=1))
-            else:
-                assert kwargs.get("start") is None
+        sides.add(assert_one_svd_rule(svd_calls, data, tol).transposed)
     assert sides == {False, True}
+
+
+def test_two_phase_svds_restart_cold_at_each_phase(svd_calls):
+    # phase one makes one SVD per iteration at eps_rho, phase two the rest at
+    # eps_lambda; each phase starts cold, then warm from its own previous SVD
+    inst = gen_synthetic(80, 3, 0.3, seed=5)
+    config = SolverConfig(r=3, beta=5.0, eps_rho=1e-5, eps_lambda=1e-7)
+    res = two_phase(inst.obs, config)
+    p1, p2 = res.phase_split
+    assert p1 >= 3 and len(svd_calls) - p1 >= p2 - 1 >= 2
+    assert_one_svd_rule(svd_calls[:p1], inst.obs, 1e-2 * config.eps_rho)
+    assert_one_svd_rule(svd_calls[p1:], inst.obs, 1e-2 * config.eps_lambda)
 
 
 @pytest.mark.parametrize("solve", [
@@ -601,11 +616,11 @@ def test_recovered_rank_matches_iterate(rng):
 
 def test_stall_detector_requires_three_consecutive(rng):
     obs = random_observed(rng, 6, 6, 0.5)
-    progress = _Progress(obs)
+    progress = _Progress(obs, 1e-4)
     assert not progress.frozen(0.0)
     assert not progress.frozen(0.0)
     assert progress.frozen(0.0)
-    progress = _Progress(obs)
+    progress = _Progress(obs, 1e-4)
     assert not progress.frozen(0.0)
     assert not progress.frozen(1.0)
     assert not progress.frozen(0.0)
