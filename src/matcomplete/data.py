@@ -81,7 +81,9 @@ def gen_synthetic(n: int, r: int, p: float, seed: int) -> SyntheticInstance:
     ground_truth = _factor_product(left, right)
     total = n * n
     kept = _round_half_up((1.0 - p) * total)
-    flat = np.sort(rng.choice(total, size=kept, replace=False))
+    # the draws are sorted, so numpy need not shuffle them: the set it picks
+    # is the same either way
+    flat = np.sort(rng.choice(total, size=kept, replace=False, shuffle=False))
     rows, cols = np.divmod(flat, n)
     values = project_entries(ground_truth, rows, cols)
     obs = ObservedMatrix(n, n, rows, cols, values)

@@ -6,10 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observed import ObservedMatrix
-
-# Values in one row tile of a gather: 32768 float64 values, about 256 KB.
-_TILE_VALUES = 32768
+from .observed import GatherPlan, ObservedMatrix, check_index_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,22 +150,7 @@ def project_entries(f: FactoredMatrix, rows: np.ndarray, cols: np.ndarray) -> np
         out = np.empty(rows.size)
         out[order] = project_entries(f, rows[order], cols[order])
         return out
-    m, n = f.shape
-    height = max(1, _TILE_VALUES // n)
-    scaled_u = f.u * f.sigma
-    # a C-ordered v.T runs the short, wide tile GEMMs about twice as fast
-    vt = np.ascontiguousarray(f.v.T)
-    # entries of the block starting at row i0 = b * height are edges[b]:edges[b + 1]
-    edges = np.searchsorted(rows, np.arange(0, m + height, height))
-    out = np.empty(rows.size)
-    for b in np.flatnonzero(np.diff(edges)):
-        lo, hi, i0 = edges[b], edges[b + 1], b * height
-        tile = scaled_u[i0:i0 + height] @ vt
-        flat = rows[lo:hi] - i0
-        flat *= n
-        flat += cols[lo:hi]
-        np.take(tile, flat, out=out[lo:hi], mode="clip")
-    return out
+    return _gather(f, GatherPlan.for_rows(f.shape, rows, cols))
 
 
 def _checked_indices(shape: tuple[int, int], rows, cols) -> tuple[np.ndarray, np.ndarray]:
@@ -177,24 +159,40 @@ def _checked_indices(shape: tuple[int, int], rows, cols) -> tuple[np.ndarray, np
     if rows.ndim != 1 or cols.shape != rows.shape:
         raise ValueError("rows and cols must be 1-d arrays of equal length, "
                          f"got shapes {rows.shape} and {cols.shape}")
-    for name, idx, bound in (("row", rows, shape[0]), ("column", cols, shape[1])):
+    for name, idx in (("row", rows), ("column", cols)):
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"{name} indices must be integers, got dtype {idx.dtype}")
-        if idx.size and (idx.min() < 0 or idx.max() >= bound):
-            t = int(np.flatnonzero((idx < 0) | (idx >= bound))[0])
-            raise ValueError(f"{name} index {idx[t]} at position {t} is out of range "
-                             f"for a {shape[0]}x{shape[1]} matrix")
+    check_index_range(shape, rows, cols)
     return rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+
+
+def _gather(f: FactoredMatrix, plan: GatherPlan) -> np.ndarray:
+    """The entries of ``f`` that ``plan`` lays out, one tile GEMM per block."""
+    if f.k == 0:
+        return np.zeros(plan.flat.size)
+    height = plan.height
+    scaled_u = f.u * f.sigma
+    # a C-ordered v.T runs the short, wide tile GEMMs about twice as fast
+    vt = np.ascontiguousarray(f.v.T)
+    edges, flat = plan.edges, plan.flat
+    out = np.empty(flat.size)
+    for b in plan.blocks.tolist():
+        lo, hi, i0 = edges[b], edges[b + 1], b * height
+        tile = scaled_u[i0:i0 + height] @ vt
+        np.take(tile, flat[lo:hi], out=out[lo:hi], mode="clip")
+    return out
 
 
 def project_omega(f: FactoredMatrix | FactoredSum, obs: ObservedMatrix) -> np.ndarray:
     """Values of the represented matrix on the sampling set of ``obs``; a
-    :class:`FactoredSum` is gathered term by term."""
+    :class:`FactoredSum` is gathered term by term.  The tiles follow the
+    plan ``obs`` keeps (:attr:`ObservedMatrix.gather_plan`), so a gather
+    neither checks nor indexes omega again."""
     if f.shape != obs.shape:
         raise ValueError(f"shape mismatch: factored {f.shape} vs observed {obs.shape}")
     if isinstance(f, FactoredSum):
         return f.alpha * project_omega(f.f, obs) + f.beta * project_omega(f.g, obs)
-    return project_entries(f, obs.rows, obs.cols)
+    return _gather(f, obs.gather_plan)
 
 
 def scale(alpha: float, f: FactoredMatrix) -> FactoredMatrix:

@@ -29,15 +29,68 @@ def check_positive(**values) -> None:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
+def check_index_range(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray) -> None:
+    """Raise a ValueError naming the first row, then column, index of the
+    integer arrays ``rows`` and ``cols`` that lies outside ``shape``, with its
+    position and the shape."""
+    for name, idx, bound in (("row", rows, shape[0]), ("column", cols, shape[1])):
+        if idx.size and (idx.min() < 0 or idx.max() >= bound):
+            t = int(np.flatnonzero((idx < 0) | (idx >= bound))[0])
+            raise ValueError(f"{name} index {idx[t]} at position {t} is out of range "
+                             f"for a {shape[0]}x{shape[1]} matrix")
+
+
+# Values in one row tile of a gather: 32768 float64 values, about 256 KB.
+_TILE_VALUES = 32768
+
+
+@dataclass(frozen=True, eq=False)
+class GatherPlan:
+    """Where the entries of a row-sorted index set sit in the row tiles of a gather.
+
+    A gather forms its matrix ``height`` rows at a time, in tiles of about
+    256 KB (one row when a row is longer).  The entries in rows
+    ``b * height`` up to ``(b + 1) * height`` are ``edges[b]:edges[b + 1]``,
+    ``blocks`` lists the blocks holding any entry, and ``flat`` is each
+    entry's flat index inside its block's tile.  The arrays are read-only.
+    """
+
+    height: int
+    edges: np.ndarray
+    blocks: np.ndarray
+    flat: np.ndarray
+
+    @classmethod
+    def for_rows(cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray) -> "GatherPlan":
+        """The plan for in-range intp indices sorted by row; the columns of one
+        row may come in any order and pairs may repeat."""
+        m, n = shape
+        height = max(1, _TILE_VALUES // n)
+        edges = np.searchsorted(rows, np.arange(0, m + height, height))
+        blocks = np.flatnonzero(np.diff(edges))
+        flat = np.empty(rows.size, dtype=np.intp)
+        for b in blocks.tolist():
+            lo, hi = edges[b], edges[b + 1]
+            np.subtract(rows[lo:hi], b * height, out=flat[lo:hi])
+        flat *= n
+        flat += cols
+        for a in (edges, blocks, flat):
+            a.setflags(write=False)
+        return cls(height, edges, blocks, flat)
+
+
 @dataclass(frozen=True, eq=False)
 class ObservedMatrix:
     """Known entries of an m-by-n matrix, indexed by the sampling set omega.
 
-    Entries are stored in row-major sorted order so that residual traversal
-    and serialization are reproducible.  Duplicate (i, j) pairs are rejected
-    rather than merged, and NaN or infinite values are rejected outright.
-    Instances are immutable after construction and safe to share across
-    threads.
+    Entries are stored in row-major order, sorted by the int64 key
+    ``rows * n + cols``, so that residual traversal and serialization are
+    reproducible; the sort runs only when that key is not already strictly
+    increasing, and m * n must fit in an int64.  Duplicate (i, j) pairs are
+    rejected rather than merged, and NaN or infinite values are rejected
+    outright.  The first gather builds :attr:`gather_plan`, 8 bytes per entry
+    that every later gather on this omega reads.  Instances are immutable
+    after construction and safe to share across threads.
     """
 
     m: int
@@ -48,6 +101,9 @@ class ObservedMatrix:
 
     def __post_init__(self):
         check_counts(m=self.m, n=self.n)
+        if int(self.m) * int(self.n) > np.iinfo(np.int64).max:
+            raise ValueError(f"an m-by-n matrix with m = {self.m} and n = {self.n} has more "
+                             "entries than an int64 row-major index can number")
         rows = np.asarray(self.rows, dtype=np.int64).copy()
         cols = np.asarray(self.cols, dtype=np.int64).copy()
         values = np.asarray(self.values, dtype=np.float64).copy()
@@ -58,29 +114,41 @@ class ObservedMatrix:
             k = int(np.flatnonzero(~finite)[0])
             raise ValueError(f"non-finite value {values[k]} at ({rows[k]}, {cols[k]}); "
                              "observed entries must be finite")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= self.m:
-                raise ValueError("row index out of range")
-            if cols.min() < 0 or cols.max() >= self.n:
-                raise ValueError("column index out of range")
-            order = np.lexsort((cols, rows))
+        check_index_range(self.shape, rows, cols)
+        key = rows * self.n
+        key += cols
+        if not (key[1:] > key[:-1]).all():
+            # keys are unique once duplicates are rejected, so the sort need not be stable
+            order = np.argsort(key)
+            key = key[order]
+            dup = np.flatnonzero(key[1:] == key[:-1])
+            if dup.size:
+                i, j = divmod(int(key[dup[0]]), self.n)
+                raise ValueError(f"duplicate index pair ({i}, {j}) in omega")
             rows, cols, values = rows[order], cols[order], values[order]
-            dup = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if dup.any():
-                k = int(np.flatnonzero(dup)[0])
-                raise ValueError(f"duplicate index pair ({rows[k]}, {cols[k]}) in omega")
         # CSR structure, shared by every operator built on this omega; in int32
         # when it fits, scipy takes it as is instead of scanning and copying it
         fits = max(rows.size, self.m, self.n) <= np.iinfo(np.int32).max
         index_dtype = np.int32 if fits else np.int64
-        indptr = np.zeros(self.m + 1, dtype=index_dtype)
-        if rows.size:
-            np.cumsum(np.bincount(rows, minlength=self.m), out=indptr[1:])
+        # row i's entries start at the first row index not below i
+        indptr = np.searchsorted(rows, np.arange(self.m + 1)).astype(index_dtype)
         indices = cols.astype(index_dtype, copy=False)
         arrays = dict(rows=rows, cols=cols, values=values, _indptr=indptr, _indices=indices)
         for name, a in arrays.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "_gather_plan", None)
+
+    @property
+    def gather_plan(self) -> GatherPlan:
+        """The :class:`GatherPlan` of this omega, built on first use."""
+        plan = self._gather_plan
+        if plan is None:
+            plan = GatherPlan.for_rows(self.shape, self.rows, self.cols)
+            # one assignment publishes the finished plan: a thread racing here
+            # builds an equal one, and no reader sees a partial plan
+            object.__setattr__(self, "_gather_plan", plan)
+        return plan
 
     @property
     def shape(self) -> tuple[int, int]:

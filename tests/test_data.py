@@ -40,6 +40,22 @@ def test_same_seed_reproduces_instance():
     assert not np.array_equal(a.obs.values, c.obs.values)
 
 
+@pytest.mark.parametrize("p", [0.99, 0.4], ids=["kept-below-1/50", "kept-above-1/50"])
+def test_omega_is_the_sorted_shuffled_draw(p):
+    # gen_synthetic draws its kept indices unshuffled, since it sorts them;
+    # numpy's choice picks the same set with or without the shuffle, by
+    # Floyd's algorithm below 1/50 of the population and by a partial
+    # shuffle above it
+    n = 200
+    for seed in range(3):
+        inst = gen_synthetic(n, 3, p, seed)
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((n, 3))
+        rng.standard_normal((3, n))
+        kept = rng.choice(n * n, size=inst.obs.nnz, replace=False)
+        assert np.array_equal(inst.obs.rows * n + inst.obs.cols, np.sort(kept))
+
+
 def test_ground_truth_has_exact_rank():
     inst = gen_synthetic(100, 4, 0.4, seed=1)
     f = dense_svd(inst.ground_truth.dense())

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from matcomplete import (
     FactoredMatrix,
+    FactoredSum,
     ObservedMatrix,
     combine,
     frobenius_distance,
@@ -13,6 +16,8 @@ from matcomplete import (
     project_omega,
     scale,
 )
+
+from matcomplete.observed import GatherPlan
 
 from conftest import full_observed, random_factored, random_observed
 
@@ -88,23 +93,84 @@ TILED_CASES = {
     "wide": (20, 4000, 5, 0.05, ()),
     "wider-than-one-tile": (3, 40000, 2, 0.001, (1,)),
     "k-zero": (47, 3000, 0, 0.05, ()),
+    "empty-omega": (20, 3000, 3, 0.05, tuple(range(20))),
     "single-entry": (30, 5000, 2, 0, ()),
     "fully-observed": (40, 900, 3, 1.0, ()),
 }
 
 
-@pytest.mark.parametrize("case", TILED_CASES.values(), ids=TILED_CASES.keys())
-def test_project_tiles_match_dense_oracle(rng, case):
-    m, n, k, frac, empty_rows = case
+def tiled_case(rng, m, n, k, frac, empty_rows):
     f = random_factored(rng, m, n, k)
     flat = np.flatnonzero(rng.random(m * n) < frac) if frac else rng.choice(m * n, size=1)
     rows, cols = np.divmod(flat, n)
     keep = ~np.isin(rows, empty_rows)
-    obs = ObservedMatrix(m, n, rows[keep], cols[keep], np.zeros(int(keep.sum())))
+    return f, ObservedMatrix(m, n, rows[keep], cols[keep], np.zeros(int(keep.sum())))
+
+
+@pytest.mark.parametrize("case", TILED_CASES.values(), ids=TILED_CASES.keys())
+def test_project_tiles_match_dense_oracle(rng, case):
+    f, obs = tiled_case(rng, *case)
     expected = ((f.u * f.sigma) @ f.v.T)[obs.rows, obs.cols]
     got = project_omega(f, obs)
     assert got.shape == (obs.nnz,)
     assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(expected).max(initial=0.0))
+
+
+@pytest.mark.parametrize("case", TILED_CASES.values(), ids=TILED_CASES.keys())
+def test_planned_gather_matches_project_entries(rng, case):
+    # the plan omega keeps gives the same bits as planning the indices afresh
+    f, obs = tiled_case(rng, *case)
+    assert np.array_equal(project_omega(f, obs), project_entries(f, obs.rows, obs.cols))
+    g = random_factored(rng, *obs.shape, 2)
+    expected = -0.5 * project_entries(f, obs.rows, obs.cols) + 3.0 * project_entries(g, obs.rows, obs.cols)
+    assert np.array_equal(project_omega(FactoredSum(-0.5, f, 3.0, g), obs), expected)
+
+
+def test_gather_plan_is_built_once_and_read_only(rng, monkeypatch):
+    f, obs = tiled_case(rng, 47, 3000, 4, 0.05, (11, 12))
+    g = random_factored(rng, 47, 3000, 2)
+    built = []
+    build = GatherPlan.for_rows
+    monkeypatch.setattr(GatherPlan, "for_rows", lambda *args: built.append(args) or build(*args))
+    first = project_omega(f, obs)
+    plan = obs.gather_plan
+    second = project_omega(g, obs)
+    assert len(built) == 1 and obs.gather_plan is plan
+    monkeypatch.undo()
+    assert np.array_equal(first, project_entries(f, obs.rows, obs.cols))
+    assert np.array_equal(second, project_entries(g, obs.rows, obs.cols))
+    assert plan.height == 32768 // 3000
+    for a in (plan.edges, plan.blocks, plan.flat):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+def test_threads_share_one_lazily_built_plan(rng):
+    # threads racing to build the plan each publish a whole one, so every
+    # gather gives the serial bits
+    f, obs = tiled_case(rng, 300, 500, 3, 0.3, ())
+    expected = project_entries(f, obs.rows, obs.cols)
+    workers = 8
+    start, results = threading.Barrier(workers), [None] * workers
+
+    def gather(t):
+        start.wait(timeout=30)
+        results[t] = project_omega(f, obs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=gather, args=(t,)) for t in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in results:
+        assert np.array_equal(out, expected)
 
 
 def test_project_entries_is_order_invariant(rng):
@@ -146,16 +212,21 @@ def test_project_entries_rejects_bad_indices(rng, rows, cols, match):
 
 def test_project_memory_stays_near_output_size():
     # a 600k-entry gather at k=10 keeps only tile-sized temporaries beside
-    # its 4.8 MB output
+    # its 4.8 MB output; the first one also builds omega's 4.8 MB plan
     inst = gen_synthetic(1000, 10, 0.4, 0)
-    tracemalloc.start()
-    try:
-        out = project_omega(inst.ground_truth, inst.obs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            out = project_omega(inst.ground_truth, inst.obs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     assert out.nbytes == 8 * 600_000
-    assert peak <= out.nbytes + 3_000_000, f"gather peak {peak / 1e6:.1f} MB"
+    plan = inst.obs.gather_plan.flat.nbytes
+    assert plan == 8 * 600_000
+    assert peaks[0] <= out.nbytes + plan + 3_000_000, f"first gather peak {peaks[0] / 1e6:.1f} MB"
+    assert peaks[1] <= out.nbytes + 3_000_000, f"gather peak {peaks[1] / 1e6:.1f} MB"
 
 
 def test_project_is_linear(rng):

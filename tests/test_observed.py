@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matcomplete import ObservedMatrix
 
@@ -25,6 +26,74 @@ def test_index_bounds_checked():
         ObservedMatrix(2, 2, [2], [0], [1.0])
     with pytest.raises(ValueError, match="column index"):
         ObservedMatrix(2, 2, [0], [-1], [1.0])
+
+
+def test_index_errors_name_the_position_and_shape():
+    with pytest.raises(ValueError, match=r"row index 5 at position 2 is out of range for a 3x4 matrix"):
+        ObservedMatrix(3, 4, [0, 1, 5, 7], [0, 1, 2, 3], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match=r"column index -1 at position 1 is out of range for a 3x4"):
+        ObservedMatrix(3, 4, [2, 0, 1], [0, -1, 9], [1.0, 2.0, 3.0])
+
+
+def test_shape_whose_row_major_key_overflows_is_rejected():
+    with pytest.raises(ValueError, match=rf"m = 4 and n = {2**62}"):
+        ObservedMatrix(4, 2**62, [3, 0], [5, 1], [1.0, 2.0])
+    widest = ObservedMatrix(1, 2**63 - 1, [0, 0], [2**63 - 2, 0], [1.0, 2.0])
+    assert widest.cols.tolist() == [0, 2**63 - 2]
+    assert widest.values.tolist() == [2.0, 1.0]
+
+
+# --- canonical order: one row-major key, checked against a two-key lexsort ---
+
+
+@st.composite
+def sampled_sets(draw, min_size=0):
+    """(m, n, rows, cols, values, perm): a random omega in row-major order,
+    distinct values, and a permutation of its entries."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    flat = sorted(draw(st.sets(st.integers(0, m * n - 1), min_size=min(min_size, m * n))))
+    rows, cols = np.divmod(np.array(flat, dtype=np.int64), n)
+    values = np.arange(1.0, len(flat) + 1.0)
+    perm = np.array(draw(st.permutations(range(len(flat)))), dtype=np.intp)
+    return m, n, rows, cols, values, perm
+
+
+def lexsort_reference(m, n, rows, cols, values):
+    """The stored arrays of an omega, ordered with a two-key lexsort."""
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m)))).astype(np.int32)
+    return dict(rows=rows, cols=cols, values=values, _indptr=indptr, _indices=cols.astype(np.int32))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sampled_sets())
+def test_canonical_order_matches_lexsort(case):
+    m, n, rows, cols, values, perm = case
+    inputs = {
+        "ordered": (m, n, rows, cols, values),
+        "shuffled": (m, n, rows[perm], cols[perm], values[perm]),
+        "transposed": (n, m, cols, rows, values),
+    }
+    for form, args in inputs.items():
+        obs = ObservedMatrix(*args)
+        for name, expected in lexsort_reference(*args).items():
+            got = getattr(obs, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), (form, name)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sampled_sets(min_size=1), st.data())
+def test_duplicates_anywhere_name_the_first_pair(case, data):
+    m, n, rows, cols, values, _ = case
+    dup = np.array(sorted(data.draw(st.sets(st.integers(0, rows.size - 1), min_size=1))))
+    rows, cols = np.concatenate((rows, rows[dup])), np.concatenate((cols, cols[dup]))
+    values = np.concatenate((values, values[dup]))
+    shuffle = np.array(data.draw(st.permutations(range(rows.size))), dtype=np.intp)
+    # omega came in row-major order, so the first duplicated entry leads
+    i, j = rows[dup[0]], cols[dup[0]]
+    with pytest.raises(ValueError, match=rf"duplicate index pair \({i}, {j}\) in omega"):
+        ObservedMatrix(m, n, rows[shuffle], cols[shuffle], values[shuffle])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -633,15 +633,16 @@ def test_stall_detector_requires_three_consecutive(rng):
 
 @pytest.fixture
 def gather_count(monkeypatch):
-    """Counts every gather of factor rows onto observed entries."""
+    """Counts every gather of factor rows onto observed entries; building a
+    synthetic instance gathers its values too, so tests clear it after that."""
     calls = []
-    original = factored.project_entries
+    original = factored._gather
 
-    def counting(f, rows, cols):
+    def counting(f, plan):
         calls.append(f.k)
-        return original(f, rows, cols)
+        return original(f, plan)
 
-    monkeypatch.setattr(factored, "project_entries", counting)
+    monkeypatch.setattr(factored, "_gather", counting)
     return calls
 
 
@@ -655,6 +656,7 @@ def gather_count(monkeypatch):
 ], ids=["two_phase", "phase_two", "soft_impute", "frsi", "fpc", "svt"])
 def test_one_gather_per_iteration(gather_count, solve):
     inst = gen_synthetic(60, 3, 0.4, seed=4)
+    gather_count.clear()
     res = solve(inst.obs)
     assert res.iterations >= 3
     assert len(gather_count) <= res.iterations + 1
@@ -678,6 +680,7 @@ def checked_residuals(monkeypatch):
 def test_stabilized_two_phase_gathers_once_fewer_than_it_iterates(gather_count):
     # phase one hands its exit misfit to phase two, which used to gather it
     inst = gen_synthetic(60, 3, 0.4, seed=4)
+    gather_count.clear()
     res = two_phase(inst.obs, SolverConfig(r=3, beta=5.0))
     p1, p2 = res.phase_split
     assert p1 < 500 and p2 >= 2
