@@ -224,8 +224,8 @@ class _Progress:
     converges its triplets to ``clamp(1e-2 eps, 1e-10, 1e-6) sigma_1``, where
     ``eps`` is the solver's own stop level: its stop test reads its ratios
     only to that level.  The first SVD starts cold; each later one, rank
-    regrowths included, starts warm from the one before, since consecutive
-    fill-in matrices differ little.
+    regrowths included, starts warm from the one before, ``cold.warm(f)``,
+    since consecutive fill-in matrices differ little.
     """
 
     def __init__(self, obs: ObservedMatrix, eps: float, trace: SolveTrace | None = None):
@@ -234,9 +234,8 @@ class _Progress:
         self.trace = trace if trace is not None else SolveTrace()
         self._first = len(self.trace)
         self._frozen_runs = 0
-        self._base = LanczosStart.from_data(obs)
-        self._tol = _svd_tol(eps)
-        self._start = None
+        self._cold = self._start = LanczosStart.from_data(obs)
+        self._tol = min(max(_SVD_ACCURACY * eps, DEFAULT_TOL), _SVD_TOL_MAX)
 
     def svd(self, op, k: int) -> FactoredMatrix | None:
         """The leading ``k`` triplets of ``op``.  The k-th is read as a value
@@ -245,11 +244,10 @@ class _Progress:
         finite; the solver then stops as diverged, since its stop test would
         read the NaN, or an iterate that :func:`soft_threshold` shrank to zero
         by dropping it, and could pass."""
-        f = truncated_svd(op, k, tol=self._tol, start=self._start, base=self._base,
-                          last_vector=False)
+        f = truncated_svd(op, k, tol=self._tol, start=self._start, last_vector=False)
         if not np.isfinite(f.sigma).all():
             return None
-        self._start = self._base.warm(f)
+        self._start = self._cold.warm(f)
         return f
 
     @property
@@ -335,12 +333,6 @@ def _momentum_operator(obs, theta, x, misfit, x_prev, misfit_prev) -> SpLrOperat
 def _combined(z: FactoredMatrix | FactoredSum) -> FactoredMatrix:
     """A momentum point as one orthonormal factorization."""
     return combine(z.alpha, z.f, z.beta, z.g) if isinstance(z, FactoredSum) else z
-
-
-def _svd_tol(eps: float) -> float:
-    """The SVD tolerance of a solver whose stop test reads its ratios to
-    ``eps``: ``clamp(1e-2 eps, 1e-10, 1e-6)``."""
-    return min(max(_SVD_ACCURACY * eps, DEFAULT_TOL), _SVD_TOL_MAX)
 
 
 def _shrink_at_level(progress, op, level, r_est):

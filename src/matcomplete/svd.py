@@ -76,23 +76,41 @@ def _probe(a, at):
 
 @dataclass(frozen=True, eq=False)
 class LanczosStart:
-    """The start vector of a solve's Lanczos runs, derived from its data.
+    """The vector a Lanczos run starts from, and the side the run takes.
 
-    ``vector`` is a unit vector on the side the runs take: the data's
-    columns (length n), or with ``transposed`` its rows (length m), where
-    the runs decompose the transposed operator.  Unlike the seeded Gaussian
-    of :func:`truncated_svd`'s default, it follows the data: permuting the
-    data's rows or columns permutes it the same way or leaves it alone, and
-    transposing the data keeps it while switching the side, so a solve on
-    permuted or transposed data runs the same Lanczos iteration.
+    ``vector`` lies along the data's columns (length n), or with
+    ``transposed`` along its rows (length m), where the run decomposes the
+    transposed operator.  It is checked once, when the start is built: it
+    must be 1-d, finite and not all zero.  A read-only copy is kept, divided
+    by its largest magnitude only when its norm would overflow.
+
+    A Krylov space never leaves an invariant subspace its start lies in:
+    started on one block of a block-diagonal operator, a run never finds the
+    other block.  The cold start :meth:`from_data` has a component on every
+    direction the data does not make exchangeable, and ``cold.warm(f)``,
+    called on it, is the form that mixes it into each warm start.
     """
 
     vector: np.ndarray
     transposed: bool
 
+    def __post_init__(self):
+        vector = np.array(self.vector, dtype=np.float64)
+        if vector.ndim != 1:
+            raise ValueError(f"start must be a 1-d vector, got shape {vector.shape}")
+        if not np.isfinite(vector).all():
+            raise ValueError("start must be finite")
+        if not vector.any():
+            raise ValueError("start must not be the zero vector")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm(vector)):
+                vector /= np.abs(vector).max()
+        vector.setflags(write=False)
+        object.__setattr__(self, "vector", vector)
+
     @classmethod
     def from_data(cls, obs: ObservedMatrix) -> "LanczosStart":
-        """The start for a solve on ``obs``.
+        """The cold start for a solve on ``obs``.
 
         With ``A`` the data divided by its largest magnitude (rounded up to
         a power of two, which keeps the division exact), the probe is
@@ -102,7 +120,12 @@ class LanczosStart:
         tie).  The start is ``phi(t)`` normalized, with ``t`` the probe
         divided by its largest magnitude (zero for a zero probe) and ``phi(t)
         = cos(997 t + 0.3) + 0.5 sin(3137 t^2 + 1.1)`` elementwise: a
-        deterministic, scale-free spread over every direction.
+        deterministic, scale-free spread over every direction.  Unlike the
+        seeded Gaussian of :func:`truncated_svd`'s default, it follows the
+        data: permuting the data's rows or columns permutes it the same way
+        or leaves it alone, and transposing the data keeps it while
+        switching the side, so a solve on permuted or transposed data runs
+        the same Lanczos iteration.
         """
         # a power of two, so that data whose rows or columns sum to exactly
         # zero keeps those sums zero
@@ -117,13 +140,25 @@ class LanczosStart:
         pmax = np.abs(probe).max()
         vector = _phi(probe / pmax if pmax > 0.0 else probe)
         vector /= np.linalg.norm(vector)
-        vector.setflags(write=False)
         return cls(vector, bool(transposed))
 
-    def warm(self, f: FactoredMatrix) -> np.ndarray:
-        """A warm start from an earlier SVD ``f``: its factor on the side
-        the runs take, summed over its columns."""
-        return (f.u if self.transposed else f.v).sum(axis=1)
+    def warm(self, f: FactoredMatrix) -> "LanczosStart":
+        """The start of the run after the one that returned ``f``, on this
+        start's side.
+
+        ``s``, ``f``'s factor on that side summed over its columns, is
+        divided by its largest magnitude and then normalized; the new vector
+        is ``s + 0.01 c/||c||``, with ``c`` this start's vector.  The mixed-in
+        ``c`` keeps every direction of a cold start in the Krylov space, so
+        the run meets the same ``tol`` wherever ``s`` lies.
+        """
+        s = (f.u if self.transposed else f.v).sum(axis=1)
+        # divided by its largest magnitude, then normalized: the order fixes
+        # the start's last bits, and so every warm-started solve's
+        s = s / np.abs(s).max()
+        s /= np.linalg.norm(s)
+        return LanczosStart(s + _WARM_PERTURBATION * (self.vector / np.linalg.norm(self.vector)),
+                            self.transposed)
 
 
 class _Transposed:
@@ -224,8 +259,7 @@ def _value_certified(s, residuals, k, bound):
 
 
 def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = None, *,
-                  start: np.ndarray | None = None, base: LanczosStart | None = None,
-                  last_vector: bool = True) -> FactoredMatrix:
+                  start: LanczosStart | None = None, last_vector: bool = True) -> FactoredMatrix:
     """Leading ``k`` singular triplets of a matrix-free operator.
 
     Parameters
@@ -238,23 +272,20 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         Convergence tolerance relative to the leading singular value: a Ritz
         pair is accepted once its residual drops below ``tol * sigma_1``.
     max_steps : int, optional
-        Lanczos step budget across restarts; defaults to ``10 * k + 100``.
-        Exhaustion raises :class:`TruncatedSvdError` carrying the best
-        triplets found so far.
-    start : ndarray of length ``n``, optional
-        A warm start for the Lanczos run, such as the previous call's right
-        factor summed over its columns on a nearby operator.  The start
-        vector becomes ``start/||start|| + 0.01 g/||g||``, where ``g`` is the
-        vector a cold call starts from, so every direction stays in the
-        Krylov space; the result is deterministic and meets the same
-        ``tol``.  Without ``start`` the run starts from ``g`` alone.
-    base : LanczosStart, optional
-        The cold start ``g`` and the side of the run, derived from the data
-        (:meth:`LanczosStart.from_data`).  Without it ``g`` is a seeded
-        Gaussian of length ``n``.  With ``base.transposed`` the run
-        decomposes the transposed operator, ``start`` has length ``m`` (the
-        left factor summed, :meth:`LanczosStart.warm`), and the factors
-        come back the right way round.
+        Lanczos step budget across restarts, an integer of at least 1;
+        defaults to ``10 * k + 100``.  Exhaustion raises
+        :class:`TruncatedSvdError` carrying the best triplets found so far.
+    start : LanczosStart, optional
+        The run's start vector and side: a cold start derived from the data
+        (:meth:`LanczosStart.from_data`), or a warm one from an earlier call
+        (:meth:`LanczosStart.warm`).  The run starts from its vector
+        normalized, and with ``start.transposed`` decomposes the transposed
+        operator, the vector having length ``m``; the factors come back the
+        right way round.  A start confined to an invariant subspace stays in
+        it; ``cold.warm(f)`` mixes the cold start back in, so every direction
+        stays in the Krylov space.  Without ``start`` the run starts from a
+        seeded Gaussian of length ``n``.  The result is deterministic either
+        way.
     last_vector : bool
         With the default True every triplet meets the residual test.  With
         False only the first ``k - 1`` do; the k-th is accepted as soon as
@@ -274,39 +305,26 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     if k > p:
         raise ValueError(f"requested {k} triplets from a {m}x{n} operator")
     check_positive(tol=tol)
-    transposed = base is not None and base.transposed
-    if transposed:
-        op = _Transposed(op)
-        m, n = n, m
-    if base is not None and base.vector.shape != (n,):
-        raise ValueError(f"base must be a vector of length {n}, got shape {base.vector.shape}")
-    if start is not None:
-        start = np.asarray(start, dtype=np.float64)
-        if start.shape != (n,):
-            raise ValueError(f"start must be a vector of length {n}, got shape {start.shape}")
-        if not np.isfinite(start).all():
-            raise ValueError("start must be finite")
-        amax = np.abs(start).max()
-        if amax == 0.0:
-            raise ValueError("start must not be the zero vector")
-        # scaled by its largest magnitude first, so that its norm cannot overflow
-        start = start / amax
-        start /= np.linalg.norm(start)
     if max_steps is None:
         max_steps = 10 * k + 100
+    check_counts(max_steps=max_steps)
+    rng = np.random.default_rng(0x1B1D)
+    if start is None:
+        start = LanczosStart(rng.standard_normal(n), False)
+    if start.transposed:
+        op = _Transposed(op)
+        m, n = n, m
+    if start.vector.shape != (n,):
+        raise ValueError(f"start must be a vector of length {n}, got shape {start.vector.shape}")
     keep = min(k + _RESTART_BUFFER, p)
     max_dim = min(p, max(2 * keep, keep + 20))
-    rng = np.random.default_rng(0x1B1D)
 
     bu = np.zeros((m, max_dim))
     bv = np.zeros((n, max_dim + 1))
     # the spare column holds the last coupling beta until the next step overwrites it
     bmat = np.zeros((max_dim, max_dim + 1))
 
-    v0 = rng.standard_normal(n) if base is None else base.vector
-    if start is not None:
-        v0 = start + _WARM_PERTURBATION * (v0 / np.linalg.norm(v0))
-    bv[:, 0] = v0 / np.linalg.norm(v0)
+    bv[:, 0] = start.vector / np.linalg.norm(start.vector)
 
     j = 0
     steps = 0
@@ -317,7 +335,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         uu = bu[:, :j] @ pl[:, :count]
         vv = bv[:, :prt.shape[1]] @ prt[:count, :].T
         _repair_null_columns(vv, s[:count], rng)
-        if transposed:
+        if start.transposed:
             uu, vv = vv, uu
         return FactoredMatrix(uu, s[:count].copy(), vv)
 

@@ -406,20 +406,24 @@ STOP_LEVEL_SOLVES = {
 
 
 def assert_one_svd_rule(calls, data, tol):
-    """Every call at ``tol`` from the data-derived start, reading the last
-    triplet as a value; the first cold, each later one warm from the call
-    before it: that call's factor on the run's side, summed."""
-    base = LanczosStart.from_data(data)
+    """Every call at ``tol``, reading the last triplet as a value, on the
+    data-derived start's side; the first from that start itself, each later
+    one, bit for bit, from the call before it: that call's factor on the
+    run's side summed, divided by its largest magnitude and normalized, plus
+    0.01 times the normalized data start."""
+    cold = LanczosStart.from_data(data)
     for kwargs, _ in calls:
         assert kwargs["tol"] == tol
         assert kwargs["last_vector"] is False
-        assert np.array_equal(kwargs["base"].vector, base.vector)
-        assert kwargs["base"].transposed == base.transposed
-    assert calls[0][0]["start"] is None
+        assert kwargs["start"].transposed == cold.transposed
+    assert np.array_equal(calls[0][0]["start"].vector, cold.vector)
+    mixed = 0.01 * (cold.vector / np.linalg.norm(cold.vector))
     for (kwargs, _), (_, previous) in zip(calls[1:], calls):
-        side = previous.u if base.transposed else previous.v
-        assert np.array_equal(kwargs["start"], side.sum(axis=1))
-    return base
+        s = (previous.u if cold.transposed else previous.v).sum(axis=1)
+        s = s / np.abs(s).max()
+        s /= np.linalg.norm(s)
+        assert np.array_equal(kwargs["start"].vector, s + mixed)
+    return cold
 
 
 @pytest.mark.parametrize("name, eps", [
