@@ -308,7 +308,8 @@ def run_trace(
     """Per-iteration trace of a single solve.
 
     Writes ``trace.csv`` with iteration, phase, rho, objective, residual and
-    change ratios, and the rank estimate; a ``fejer_slack`` column is added
+    change ratios, the rank estimate and the SVD tolerance the iterate was
+    computed at; a ``fejer_slack`` column is added
     when ``ground_truth`` is set, which requires a synthetic instance.
     """
     if ground_truth and dataset is not None:
@@ -326,7 +327,8 @@ def run_trace(
     result = solve_method(method, obs, config, truth)
 
     os.makedirs(out_dir, exist_ok=True)
-    columns = ["iteration", "phase", "rho", "f_lambda", "rel_residual", "rel_change", "rank"]
+    columns = ["iteration", "phase", "rho", "f_lambda", "rel_residual", "rel_change", "rank",
+               "svd_tol"]
     if ground_truth:
         columns.append("fejer_slack")
     rows = [[getattr(rec, name) for name in columns] for rec in result.trace]

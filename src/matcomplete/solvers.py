@@ -34,11 +34,16 @@ _RANK_BUMP = 5
 _FPC_DECAY = 0.25
 _FPC_INNER_MAX = 100
 
-# Each solver's SVDs converge to this fraction of its own stop level,
-# relative to sigma_1 and clamped to [DEFAULT_TOL, _SVD_TOL_MAX]: a stop test
-# reads its ratios only to that level, so digits far below it go unused.
+# The SVD tolerance rule of _Progress.svd, relative to sigma_1.  Its floor is
+# this fraction of the solver's own stop level, clamped to [DEFAULT_TOL,
+# _SVD_TOL_MAX]: a stop test reads its ratios only to that level, so digits
+# far below it go unused.  Above the floor it follows the solve's progress,
+# at _SVD_PROGRESS times the last change ratio, up to the stop level itself
+# and at most _SVD_TOL_CAP.
 _SVD_ACCURACY = 1e-2
 _SVD_TOL_MAX = 1e-6
+_SVD_PROGRESS = 3e-2
+_SVD_TOL_CAP = 1e-3
 
 # svt has diverged once its iterate misfits the data by this many times the
 # data's own norm (the zero matrix misfits it by exactly once): the dual then
@@ -51,10 +56,11 @@ class SolverConfig:
     """Tolerances, budgets and parameters for the solvers.
 
     ``step_svt`` may be None (``auto`` in a config file), meaning "derive
-    from the instance" (the SVT default).  Each solver's SVD tolerance
-    follows its own stop level ``eps``, as ``clamp(1e-2 eps, 1e-10, 1e-6)``;
-    it, the rank regrowth step, the FPC path and SVT's threshold are fixed;
-    see :func:`svt` and :func:`fpc`.
+    from the instance" (the SVT default).  Each solver's SVD tolerances
+    follow its own stop level ``eps`` and its progress, between ``clamp(1e-2
+    eps, 1e-10, 1e-6)`` and ``min(eps, 1e-3)`` (see :class:`_Progress`); the
+    rule, the rank regrowth step, the FPC path and SVT's threshold are
+    fixed; see :func:`svt` and :func:`fpc`.
     """
 
     r: int
@@ -129,7 +135,9 @@ class SolverConfig:
 @dataclass
 class TraceRecord:
     """Per-iteration diagnostics; unavailable quantities are NaN.  ``iteration``
-    counts from 1 within the trace, and ``time_s`` from the trace's creation."""
+    counts from 1 within the trace, and ``time_s`` from the trace's creation.
+    ``svd_tol`` is the tolerance, relative to sigma_1, of the SVD that
+    produced the record's iterate (see :class:`_Progress`)."""
 
     iteration: int
     phase: int
@@ -140,6 +148,7 @@ class TraceRecord:
     rank: int
     time_s: float
     fejer_slack: float = math.nan
+    svd_tol: float = math.nan
 
 
 @dataclass
@@ -155,11 +164,13 @@ class SolveTrace:
     t0: float = field(init=False, default_factory=time.perf_counter)
 
     def append(self, phase: int, rho: float, f_lambda: float, rel_residual: float,
-               rel_change: float, rank: int, fejer_slack: float = math.nan) -> TraceRecord:
+               rel_change: float, rank: int, fejer_slack: float = math.nan,
+               svd_tol: float = math.nan) -> TraceRecord:
         """Add the next record, numbered after those already here and stamped
         with the time since the trace was created; returns it."""
         record = TraceRecord(len(self.records) + 1, phase, rho, f_lambda, rel_residual,
-                             rel_change, rank, time.perf_counter() - self.t0, fejer_slack)
+                             rel_change, rank, time.perf_counter() - self.t0, fejer_slack,
+                             svd_tol)
         self.records.append(record)
         return record
 
@@ -220,12 +231,30 @@ class _Progress:
     built before the first SVD, so data whose norm overflows fails first.
 
     Every SVD a solver makes goes through :meth:`svd`, under one rule.  It
-    starts from the data-derived start (:meth:`LanczosStart.from_data`) and
-    converges its triplets to ``clamp(1e-2 eps, 1e-10, 1e-6) sigma_1``, where
-    ``eps`` is the solver's own stop level: its stop test reads its ratios
-    only to that level.  The first SVD starts cold; each later one, rank
-    regrowths included, starts warm from the one before, ``cold.warm(f)``,
-    since consecutive fill-in matrices differ little.
+    starts from the data-derived start (:meth:`LanczosStart.from_data`); the
+    first SVD starts cold and each later one, rank regrowths included, warm
+    from the one before, ``cold.warm(f)``, since consecutive fill-in
+    matrices differ little.  It converges its triplets to ``tol sigma_1``,
+    where ``tol`` follows the solver's own stop level ``eps`` and the last
+    two change ratios that :meth:`step` recorded, ``d`` and ``d'`` before it:
+
+    - ``floor = clamp(1e-2 eps, 1e-10, 1e-6)``: the stop test reads its
+      ratios only to that level;
+    - ``cap = max(floor, min(eps, 1e-3))``: the value-only k-th triplet is
+      then within ``0.1 cap sigma_1``, a tenth of what phase one's ratio test
+      at ``eps_rho`` resolves;
+    - ``tol = cap`` while ``d`` is not finite (before the first step, or
+      right after a step from zero); otherwise ``tol = max(floor, min(cap,
+      3e-2 d q))`` with ``q = max(0, 1 - d / d')``, or 1 when ``d'`` is not
+      finite or zero.  An SVD error of ``e`` at a step that contracts by
+      ``d / d'`` leaves about ``e / q`` in the limit, so ``q`` tightens the
+      SVDs as the iteration slows down.
+
+    Regrowth calls within one iteration share its ``tol``, and a solve whose
+    iterate does not move (svt's ramp-up from zero) stays at ``floor``.
+    The tolerance of the last SVD is recorded with each step; one handed a
+    trace starts from that of the trace's last record, the SVD that
+    produced phase two's handed-over first iterate.
     """
 
     def __init__(self, obs: ObservedMatrix, eps: float, trace: SolveTrace | None = None):
@@ -235,16 +264,25 @@ class _Progress:
         self._first = len(self.trace)
         self._frozen_runs = 0
         self._cold = self._start = LanczosStart.from_data(obs)
-        self._tol = min(max(_SVD_ACCURACY * eps, DEFAULT_TOL), _SVD_TOL_MAX)
+        self._floor = min(max(_SVD_ACCURACY * eps, DEFAULT_TOL), _SVD_TOL_MAX)
+        self._cap = max(self._floor, min(eps, _SVD_TOL_CAP))
+        self._changes = (math.nan, math.nan)
+        self.tol = self.trace.records[-1].svd_tol if self.trace.records else math.nan
 
     def svd(self, op, k: int) -> FactoredMatrix | None:
-        """The leading ``k`` triplets of ``op``.  The k-th is read as a value
-        only (``last_vector=False``), still within the tolerance: every caller
-        shrinks it to zero or reads only its value.  None when a value is not
-        finite; the solver then stops as diverged, since its stop test would
-        read the NaN, or an iterate that :func:`soft_threshold` shrank to zero
-        by dropping it, and could pass."""
-        f = truncated_svd(op, k, tol=self._tol, start=self._start, last_vector=False)
+        """The leading ``k`` triplets of ``op``, at the tolerance the progress
+        so far sets.  The k-th is read as a value only (``last_vector=False``),
+        still within the tolerance: every caller shrinks it to zero or reads
+        only its value.  None when a value is not finite; the solver then
+        stops as diverged, since its stop test would read the NaN, or an
+        iterate that :func:`soft_threshold` shrank to zero by dropping it, and
+        could pass."""
+        change, before = self._changes
+        self.tol = self._cap
+        if math.isfinite(change):
+            slowing = 1.0 - change / before if math.isfinite(before) and before > 0 else 1.0
+            self.tol = max(self._floor, min(self._cap, _SVD_PROGRESS * change * max(0.0, slowing)))
+        f = truncated_svd(op, k, tol=self.tol, start=self._start, last_vector=False)
         if not np.isfinite(f.sigma).all():
             return None
         self._start = self._cold.warm(f)
@@ -259,12 +297,14 @@ class _Progress:
         """Gather the new iterate ``x`` and record it: ``(misfit, record)``.
 
         ``misfit`` is ``a - P_omega(x)``; the record carries its ratio to the
-        data's norm and, when ``lam`` is given, the objective at ``lam``.
+        data's norm, when ``lam`` is given the objective at ``lam``, and the
+        last SVD's tolerance.  ``change`` sets the next SVD's tolerance.
         """
         misfit = _misfit(x, self.obs)
         f = math.nan if lam is None else _objective_value(misfit, x, lam)
         resid = _ratio(float(np.linalg.norm(misfit)), self.obs_norm)
-        return misfit, self.trace.append(phase, rho, f, resid, change, x.rank, slack)
+        self._changes = (change, self._changes[0])
+        return misfit, self.trace.append(phase, rho, f, resid, change, x.rank, slack, self.tol)
 
     def frozen(self, change: float) -> bool:
         """Whether ``change`` is the third in a row below the freeze level."""
@@ -398,10 +438,13 @@ def phase_one(
     demand near-absolute stabilization of a quantity that lives at the data's
     scale.
 
-    The SVDs follow :class:`_Progress`'s rule at ``eps_rho``; the (r+1)-th
-    triplet is read only as a value, since ``rho`` feeds the stop test and
-    the shrinkage that sends that triplet to zero.  An SVD with a non-finite
-    value stops phase one at once, as ``diverged``.
+    The SVDs follow :class:`_Progress`'s rule at ``eps_rho``: the first two
+    run at ``min(eps_rho, 1e-3)``, since the first step starts from zero,
+    and later ones follow the iterate's change.  The (r+1)-th triplet is read
+    only as a value, since ``rho`` feeds the stop test and the shrinkage
+    that sends that triplet to zero; at that cap its value is within a tenth
+    of what the stop test resolves, ``eps_rho`` times the anchor.  An SVD
+    with a non-finite value stops phase one at once, as ``diverged``.
     The momentum point reaches the SVD as the two iterates' factor pairs
     (:class:`FactoredSum`); it is refactored into one orthonormal
     factorization only at the exit, as the returned ``z``, and for the
@@ -442,7 +485,8 @@ def phase_one(
         if math.isfinite(rho_prev) and abs(rho - rho_prev) / (anchor + rho_prev) < eps_rho:
             stabilized = True
             first_iterate = x_j
-            progress.trace.append(1, rho, math.nan, math.nan, math.nan, x_prev.rank)
+            progress.trace.append(1, rho, math.nan, math.nan, math.nan, x_prev.rank,
+                                  svd_tol=progress.tol)
             break
         z = op.z
         del op  # frees its residual buffer before the gather allocates the next

@@ -84,34 +84,129 @@ def frsi(obs, r, eps_1, it_max=500):
     return Reference(x, it_max, "budget-exhausted", ratios)
 
 
-def soft_impute(obs, lam, eps, it_max=500):
-    """Soft-Impute from zero: shrink the filled matrix by ``lam``, and stop
-    once ``min(|f_prev - f| / f_prev, change) <= eps``, with ``f(x) = 0.5
-    ||P_omega(a - x)||^2 + lam ||x||_*``, ``f_prev`` starting at ``f(0)``, and
-    the change ``||x_new - x|| / ||x||``.  On an exhausted budget it returns
-    the iterate with the lowest ``f``."""
+def phase_two(obs, lam, x0, eps, it_max=500, momentum=True):
+    """The accelerated proximal iteration from the dense ``x0``: shrink the
+    matrix filled in with the momentum point by ``lam``, and stop once
+    ``min(|f_prev - f| / f_prev, change) <= eps``, with ``f(x) = 0.5
+    ||P_omega(a - x)||^2 + lam ||x||_*``, ``f_prev`` starting at ``f(x0)``,
+    and the change ``||x_new - x|| / ||x||``.  The momentum point is ``x +
+    theta (x - x_prev)`` with ``theta = (k - 1) / (k + 2)`` at step ``k``, or
+    0 without ``momentum``.  On an exhausted budget it returns the iterate
+    with the lowest ``f``, ``x0`` included."""
     a, mask = dense_data(obs)
 
     def objective(x):
         misfit = np.where(mask, a - x, 0.0)
         return 0.5 * np.sum(misfit * misfit) + lam * np.linalg.svd(x, compute_uv=False).sum()
 
-    x = np.zeros(obs.shape)
+    x = z = x0
     f_prev = best_f = objective(x)
     best_x = x
     ratios, frozen = [], 0
     for k in range(1, it_max + 1):
-        x_new = shrink(*filled_svd(a, mask, x), lam)
+        x_new = shrink(*filled_svd(a, mask, z), lam)
         change = ratio(np.linalg.norm(x_new - x), np.linalg.norm(x))
-        x = x_new
-        f = objective(x)
+        f = objective(x_new)
         if f < best_f:
-            best_f, best_x = f, x
+            best_f, best_x = f, x_new
         ratios.append(min(ratio(abs(f_prev - f), f_prev), change))
         if ratios[-1] <= eps:
-            return Reference(x, k, "converged", ratios)
+            return Reference(x_new, k, "converged", ratios)
         frozen = frozen + 1 if change < STALL_LEVEL else 0
         if frozen >= STALL_RUNS:
-            return Reference(x, k, "stalled", ratios)
-        f_prev = f
+            return Reference(x_new, k, "stalled", ratios)
+        theta = (k - 1) / (k + 2) if momentum else 0.0
+        z = x_new + theta * (x_new - x)
+        x, f_prev = x_new, f
     return Reference(best_x, it_max, "budget-exhausted", ratios)
+
+
+def soft_impute(obs, lam, eps, it_max=500):
+    """Soft-Impute: :func:`phase_two` from zero without momentum."""
+    return phase_two(obs, lam, np.zeros(obs.shape), eps, it_max, momentum=False)
+
+
+@dataclass
+class PhaseOne:
+    """What phase one hands on: the stabilized ``rho``, the momentum point
+    ``z`` whose SVD stabilized it and that SVD's leading value, the anchor of
+    its stop test, its iteration count, whether it stabilized, and its stop
+    ratios."""
+
+    rho: float
+    z: np.ndarray
+    sigma_top: float
+    anchor: float
+    iterations: int
+    stabilized: bool
+    ratios: list
+
+
+def phase_one(obs, r, eps_rho, w=500, beta=2.0):
+    """The fixed-rank warm start from zero: at pass ``j`` read ``rho_j``, the
+    (r+1)-th singular value of the matrix filled in with the momentum point,
+    and stop once ``|rho_j - rho_{j-1}| / (anchor + rho_{j-1}) < eps_rho``,
+    where the anchor is the first pass's leading singular value (that of the
+    data).  Otherwise shrink by ``rho_j`` and extrapolate with ``theta = (j -
+    1) / (j + beta)``."""
+    a, mask = dense_data(obs)
+    x_prev = z = np.zeros(obs.shape)
+    rho_prev, ratios = np.inf, []
+    for j in range(1, w + 1):
+        u, s, vt = filled_svd(a, mask, z)
+        rho = s[r] if r < s.size else 0.0
+        if j == 1:
+            anchor = s[0]
+        if np.isfinite(rho_prev):
+            ratios.append(abs(rho - rho_prev) / (anchor + rho_prev))
+            if ratios[-1] < eps_rho:
+                return PhaseOne(rho, z, s[0], anchor, j, True, ratios)
+        x = shrink(u, s, vt, rho)
+        z = x + (j - 1) / (j + beta) * (x - x_prev)
+        x_prev, rho_prev = x, rho
+    return PhaseOne(rho, z, s[0], anchor, w, False, ratios)
+
+
+def two_phase(obs, r, eps_rho, eps_lambda, beta, w=500, it_max=500):
+    """:func:`phase_one`, then :func:`phase_two` at ``lam = rho`` from its
+    momentum point: ``(phase one, phase two)``.  A stabilized ``rho`` at or
+    below ``1e-12 sigma_1`` means the filled matrix has rank at most ``r``,
+    and the solve ends there (phase two is then None)."""
+    p1 = phase_one(obs, r, eps_rho, w, beta)
+    if p1.rho <= 1e-12 * p1.sigma_top:
+        return p1, None
+    return p1, phase_two(obs, p1.rho, p1.z, eps_lambda, it_max)
+
+
+def svt(obs, eps_2, it_max=500):
+    """Singular value thresholding: the dual ``y`` lives on omega and starts
+    at zero; each pass shrinks ``y`` by ``tau = 5n`` (square) or ``8
+    sqrt(mn)``, then adds ``step P_omega(a - x)`` to it, with ``step = 1.2 mn
+    / nnz``.  It stops once the residual ratio ``||P_omega(a - x)|| /
+    ||P_omega(a)||`` is at most ``eps_2``, and diverges once it exceeds
+    ``1e4``.  A pass is frozen when both the change ``||x_new - x|| / ||x||``
+    and the dual move ``step ||P_omega(a - x)|| / max(1, ||y||)`` lie below
+    the freeze level."""
+    a, mask = dense_data(obs)
+    m, n = obs.shape
+    tau = 5.0 * n if m == n else 8.0 * np.sqrt(m * n)
+    step = 1.2 * m * n / mask.sum()
+    data_norm = np.linalg.norm(a)
+    x = y = np.zeros(obs.shape)
+    ratios, frozen = [], 0
+    for k in range(1, it_max + 1):
+        x_new = shrink(*np.linalg.svd(y, full_matrices=False), tau)
+        change = ratio(np.linalg.norm(x_new - x), np.linalg.norm(x))
+        x = x_new
+        misfit = np.where(mask, a - x, 0.0)
+        ratios.append(ratio(np.linalg.norm(misfit), data_norm))
+        if not ratios[-1] <= 1e4:
+            return Reference(x, k, "diverged", ratios)
+        if ratios[-1] <= eps_2:
+            return Reference(x, k, "converged", ratios)
+        dual_move = step * np.linalg.norm(misfit) / max(1.0, np.linalg.norm(y))
+        frozen = frozen + 1 if max(change, dual_move) < STALL_LEVEL else 0
+        if frozen >= STALL_RUNS:
+            return Reference(x, k, "stalled", ratios)
+        y = y + step * misfit
+    return Reference(x, it_max, "budget-exhausted", ratios)

@@ -104,6 +104,9 @@ def test_trace_two_phase_shows_phase_boundary(tmp_path):
     _, rows = read_csv_rows(out / "trace.csv")
     phases = {r["phase"] for r in rows}
     assert phases == {"1", "2"}
+    # every iterate, phase two's handed-over first one included, comes from an SVD
+    tols = [float(r["svd_tol"]) for r in rows]
+    assert all(1e-10 <= t <= 1e-3 for t in tols)
 
 
 def test_trace_slack_column_with_ground_truth(tmp_path):

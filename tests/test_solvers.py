@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -253,8 +254,11 @@ def test_two_phase_warm_start_wiring(rng):
     cfg = SolverConfig(r=2, w=1, eps_lambda=1e-8)
     res = two_phase(inst.obs, cfg)
 
+    # the call phase one's first step makes: the data start, at the rule's
+    # cap min(eps_rho, 1e-3), with the third triplet read as a value
     op = assemble_iterate_operator(inst.obs, FactoredMatrix.zero(40, 40))
-    f = truncated_svd(op, 3)
+    f = truncated_svd(op, 3, tol=min(cfg.eps_rho, 1e-3), start=LanczosStart.from_data(inst.obs),
+                      last_vector=False)
     rho1 = float(f.sigma[2])
     x0 = soft_threshold(f, rho1)
     ref = phase_two(inst.obs, 2, rho1, x0, eps_lambda=1e-8, it_max=500)
@@ -267,14 +271,14 @@ def test_two_phase_warm_start_wiring(rng):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Records every SVD call the solvers make, in order: its keywords and
-    its result."""
+    """Records every SVD call the solvers make, in order: its keywords, its
+    result and its operator (regrowth calls within one iteration share it)."""
     calls = []
     original = solvers.truncated_svd
 
     def recording(op, k, **kwargs):
         f = original(op, k, **kwargs)
-        calls.append((kwargs, f))
+        calls.append((kwargs, f, op))
         return f
 
     monkeypatch.setattr(solvers, "truncated_svd", recording)
@@ -405,20 +409,44 @@ STOP_LEVEL_SOLVES = {
 }
 
 
-def assert_one_svd_rule(calls, data, tol):
-    """Every call at ``tol``, reading the last triplet as a value, on the
+def rule_tols(records, eps):
+    """The SVD tolerance of each record, as the rule sets it from the change
+    ratios of the records before it: between ``floor = clamp(1e-2 eps,
+    1e-10, 1e-6)`` and ``cap = max(floor, min(eps, 1e-3))``, at ``cap`` while
+    the last change ``d`` is not finite, else at ``3e-2 d q`` with ``q = max(0,
+    1 - d / d')`` for the change ``d'`` before it, or 1 when ``d'`` is not
+    finite or zero."""
+    floor = min(max(1e-2 * eps, 1e-10), 1e-6)
+    cap = max(floor, min(eps, 1e-3))
+    tols, d, d_before = [], math.nan, math.nan
+    for record in records:
+        if not math.isfinite(d):
+            tols.append(cap)
+        else:
+            q = max(0.0, 1.0 - d / d_before) if math.isfinite(d_before) and d_before > 0 else 1.0
+            tols.append(max(floor, min(cap, 3e-2 * d * q)))
+        d, d_before = record.rel_change, d
+    return tols
+
+
+def assert_one_svd_rule(calls, data, tols):
+    """The calls of each iteration, those sharing one operator, at that
+    iteration's ``tols`` entry, reading the last triplet as a value, on the
     data-derived start's side; the first from that start itself, each later
     one, bit for bit, from the call before it: that call's factor on the
     run's side summed, divided by its largest magnitude and normalized, plus
     0.01 times the normalized data start."""
     cold = LanczosStart.from_data(data)
-    for kwargs, _ in calls:
-        assert kwargs["tol"] == tol
-        assert kwargs["last_vector"] is False
-        assert kwargs["start"].transposed == cold.transposed
+    iterations = [list(group) for _, group in itertools.groupby(calls, key=lambda c: id(c[2]))]
+    assert len(iterations) == len(tols)
+    for group, tol in zip(iterations, tols):
+        for kwargs, _, _ in group:
+            assert kwargs["tol"] == tol
+            assert kwargs["last_vector"] is False
+            assert kwargs["start"].transposed == cold.transposed
     assert np.array_equal(calls[0][0]["start"].vector, cold.vector)
     mixed = 0.01 * (cold.vector / np.linalg.norm(cold.vector))
-    for (kwargs, _), (_, previous) in zip(calls[1:], calls):
+    for (kwargs, _, _), (_, previous, _) in zip(calls[1:], calls):
         s = (previous.u if cold.transposed else previous.v).sum(axis=1)
         s = s / np.abs(s).max()
         s /= np.linalg.norm(s)
@@ -433,30 +461,42 @@ def assert_one_svd_rule(calls, data, tol):
         "soft_impute-1e-08", "fpc-0.0001", "frsi-1e-06"])
 def test_solver_svds_run_at_their_stop_accuracy_from_the_data_start(svd_calls, name, eps):
     # criterion 8 and the property tests' bounds rest on these: every call at
-    # clamp(1e-2 eps, 1e-10, 1e-6) of the solver's own stop level, the first
+    # the tolerance the rule sets from the solver's own stop level and the
+    # change ratios recorded before it, which each record carries; the first
     # cold and each later one warm from the one before; the data and its
     # transpose run on both sides
     obs = gen_synthetic(60, 3, 0.4, seed=4).obs
-    tol = min(max(1e-2 * eps, 1e-10), 1e-6)
     sides = set()
     for data in (obs, ObservedMatrix(60, 60, obs.cols, obs.rows, obs.values)):
         svd_calls.clear()
-        STOP_LEVEL_SOLVES[name](data, eps)
+        records = STOP_LEVEL_SOLVES[name](data, eps).trace.records
         assert len(svd_calls) >= 3
-        sides.add(assert_one_svd_rule(svd_calls, data, tol).transposed)
+        tols = rule_tols(records, eps)
+        assert [record.svd_tol for record in records] == tols
+        if name == "fpc":
+            # its lambda0 SVD comes before any step, at the first one's tolerance
+            tols = tols[:1] + tols
+        sides.add(assert_one_svd_rule(svd_calls, data, tols).transposed)
     assert sides == {False, True}
 
 
 def test_two_phase_svds_restart_cold_at_each_phase(svd_calls):
-    # phase one makes one SVD per iteration at eps_rho, phase two the rest at
-    # eps_lambda; each phase starts cold, then warm from its own previous SVD
+    # phase one makes one SVD per iteration under the rule at eps_rho, phase
+    # two the rest at eps_lambda; each phase starts cold, then warm from its
+    # own previous SVD.  Phase two's first record is phase one's exit SVD
+    # shrunk, so it carries that SVD's tolerance.
     inst = gen_synthetic(80, 3, 0.3, seed=5)
     config = SolverConfig(r=3, beta=5.0, eps_rho=1e-5, eps_lambda=1e-7)
     res = two_phase(inst.obs, config)
     p1, p2 = res.phase_split
     assert p1 >= 3 and len(svd_calls) - p1 >= p2 - 1 >= 2
-    assert_one_svd_rule(svd_calls[:p1], inst.obs, 1e-2 * config.eps_rho)
-    assert_one_svd_rule(svd_calls[p1:], inst.obs, 1e-2 * config.eps_lambda)
+    tols_1 = rule_tols(res.trace.records[:p1], config.eps_rho)
+    tols_2 = rule_tols(res.trace.records[p1:], config.eps_lambda)[1:]
+    assert res.trace.column("svd_tol").tolist() == tols_1 + tols_1[-1:] + tols_2
+    # the rule moved: each phase ran at more than one tolerance
+    assert len(set(tols_1)) > 1 and len(set(tols_2)) > 1
+    assert_one_svd_rule(svd_calls[:p1], inst.obs, tols_1)
+    assert_one_svd_rule(svd_calls[p1:], inst.obs, tols_2)
 
 
 @pytest.mark.parametrize("solve", [
@@ -469,7 +509,7 @@ def test_phase_one_svds_read_the_last_triplet_as_a_value(svd_calls, solve):
     inst = gen_synthetic(60, 3, 0.4, seed=4)
     solve(inst.obs)
     assert len(svd_calls) >= 3
-    assert all(kwargs["last_vector"] is False for kwargs, _ in svd_calls)
+    assert all(kwargs["last_vector"] is False for kwargs, _, _ in svd_calls)
 
 
 def test_fixed_rank_step_reads_the_last_triplet_as_a_value(monkeypatch):
@@ -912,8 +952,8 @@ def test_a_nan_in_phase_two_ends_two_phase_as_diverged(monkeypatch):
     obs = gen_synthetic(40, 2, 0.5, seed=1).obs
     ref = two_phase(obs, SolverConfig(r=2))
     assert ref.status == CONVERGED and ref.phase_split[1] >= 3
-    # phase two's SVDs converge to 1e-2 eps_lambda = 1e-8, phase one's to 1e-6
-    calls = poison_svd(monkeypatch, lambda kwargs, i: kwargs["tol"] < 1e-7)
+    # phase one makes one SVD per iteration; phase two's first is the next call
+    calls = poison_svd(monkeypatch, lambda kwargs, i: i == ref.phase_split[0] + 1)
     res = two_phase(obs, SolverConfig(r=2))
     assert res.status == DIVERGED
     # phase two's first step is phase one's exit SVD, so its first SVD is its second step
