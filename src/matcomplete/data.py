@@ -189,9 +189,9 @@ def make_ratings_dataset(obs: ObservedMatrix, fraction: float = 0.5, seed: int =
 def rer(ground_truth: FactoredMatrix, recovered: FactoredMatrix) -> float:
     """Relative recovery error ``||a - a_hat||_F / ||a||_F``.
 
-    Uses :func:`frobenius_distance`: the norm of a small QR core up to 1000
-    on a side and the factored Gram identity above, so no m-by-n matrix is
-    ever formed.
+    Uses :func:`frobenius_distance`, which forms the difference from skinny
+    products of the factors, so no m-by-n matrix is ever formed and a small
+    error keeps its digits.
     """
     if ground_truth.shape != recovered.shape:
         raise ValueError(

@@ -29,15 +29,25 @@ def check_positive(**values) -> None:
             raise ValueError(f"{name} must be positive, got {value}")
 
 
-def check_index_range(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray) -> None:
-    """Raise a ValueError naming the first row, then column, index of the
-    integer arrays ``rows`` and ``cols`` that lies outside ``shape``, with its
-    position and the shape."""
+def checked_indices(shape: tuple[int, int], rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and ``cols`` as intp arrays, or a ValueError naming the first
+    bad index.  They must be 1-d integer arrays of equal length (empty lists
+    pass; floats and bools do not), with every row, then column, index inside
+    ``shape``; an index outside it is named with its position and the shape."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.ndim != 1 or cols.shape != rows.shape:
+        raise ValueError("rows and cols must be 1-d arrays of equal length, "
+                         f"got shapes {rows.shape} and {cols.shape}")
     for name, idx, bound in (("row", rows, shape[0]), ("column", cols, shape[1])):
-        if idx.size and (idx.min() < 0 or idx.max() >= bound):
+        if not idx.size:
+            continue
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"{name} indices must be integers, got dtype {idx.dtype}")
+        if idx.min() < 0 or idx.max() >= bound:
             t = int(np.flatnonzero((idx < 0) | (idx >= bound))[0])
             raise ValueError(f"{name} index {idx[t]} at position {t} is out of range "
                              f"for a {shape[0]}x{shape[1]} matrix")
+    return rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
 
 
 # Values in one row tile of a gather: 32768 float64 values, about 256 KB.
@@ -86,10 +96,12 @@ class ObservedMatrix:
     Entries are stored in row-major order, sorted by the int64 key
     ``rows * n + cols``, so that residual traversal and serialization are
     reproducible; the sort runs only when that key is not already strictly
-    increasing, and m * n must fit in an int64.  Duplicate (i, j) pairs are
-    rejected rather than merged, and NaN or infinite values are rejected
-    outright.  The first gather builds :attr:`gather_plan`, 8 bytes per entry
-    that every later gather on this omega reads.  Instances are immutable
+    increasing, and m * n must fit in an int64.  Indices must be integers,
+    as in ``project_entries`` (:func:`checked_indices`): float and bool
+    indices are rejected, not truncated.  Duplicate (i, j) pairs are rejected
+    rather than merged, and NaN or infinite values are rejected outright.
+    The first gather builds :attr:`gather_plan`, 8 bytes per entry that
+    every later gather on this omega reads.  Instances are immutable
     after construction and safe to share across threads.
     """
 
@@ -104,17 +116,17 @@ class ObservedMatrix:
         if int(self.m) * int(self.n) > np.iinfo(np.int64).max:
             raise ValueError(f"an m-by-n matrix with m = {self.m} and n = {self.n} has more "
                              "entries than an int64 row-major index can number")
-        rows = np.asarray(self.rows, dtype=np.int64).copy()
-        cols = np.asarray(self.cols, dtype=np.int64).copy()
+        rows, cols = checked_indices(self.shape, self.rows, self.cols)
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
         values = np.asarray(self.values, dtype=np.float64).copy()
-        if rows.ndim != 1 or cols.shape != rows.shape or values.shape != rows.shape:
-            raise ValueError("rows, cols and values must be 1-d arrays of equal length")
+        if values.shape != rows.shape:
+            raise ValueError("rows, cols and values must be 1-d arrays of equal length, "
+                             f"got {rows.size} index pairs and values of shape {values.shape}")
         finite = np.isfinite(values)
         if not finite.all():
             k = int(np.flatnonzero(~finite)[0])
             raise ValueError(f"non-finite value {values[k]} at ({rows[k]}, {cols[k]}); "
                              "observed entries must be finite")
-        check_index_range(self.shape, rows, cols)
         key = rows * self.n
         key += cols
         if not (key[1:] > key[:-1]).all():

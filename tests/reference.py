@@ -210,3 +210,28 @@ def svt(obs, eps_2, it_max=500):
             return Reference(x, k, "stalled", ratios)
         y = y + step * misfit
     return Reference(x, it_max, "budget-exhausted", ratios)
+
+
+def fpc(obs, eps_3, it_max=500, step=1.99, floor=0.01):
+    """Fixed-point continuation: the weights run from ``lam = sigma_1`` of the
+    data (zeros off omega) down by ``lam <- max(0.25 lam, floor)``.  At each
+    weight, at most 100 passes of ``x <- S_{lam step}(x + step P_omega(a -
+    x))`` from the last iterate, ending once the change ``||x_new - x|| /
+    max(1, ||x||)`` is at most ``eps_3``.  It has converged once the passes
+    at the floor weight end on that test, within ``it_max`` passes in all."""
+    a, mask = dense_data(obs)
+    lam = np.linalg.svd(a, compute_uv=False)[0]
+    x = np.zeros(obs.shape)
+    ratios = []
+    while len(ratios) < it_max:
+        for _ in range(min(100, it_max - len(ratios))):
+            u, s, vt = np.linalg.svd(x + step * np.where(mask, a - x, 0.0), full_matrices=False)
+            x_new = shrink(u, s, vt, lam * step)
+            ratios.append(np.linalg.norm(x_new - x) / max(1.0, np.linalg.norm(x)))
+            x = x_new
+            if ratios[-1] <= eps_3:
+                break
+        if ratios[-1] <= eps_3 and lam <= floor:
+            return Reference(x, len(ratios), "converged", ratios)
+        lam = max(0.25 * lam, floor)
+    return Reference(x, it_max, "budget-exhausted", ratios)

@@ -296,13 +296,31 @@ def test_frobenius_distance_small_matches_dense(rng):
     assert abs(frobenius_distance(f, h) - expected) <= 1e-6 * expected
 
 
-def test_frobenius_distance_gram_path_matches_dense(rng):
-    # force the Gram branch on a wide matrix and compare to dense subtraction
+def test_frobenius_distance_wide_matches_dense(rng):
     f = random_factored(rng, 30, 1200, 3)
     g = random_factored(rng, 30, 1200, 3)
     got = frobenius_distance(f, g)
     dense = np.linalg.norm(f.dense() - g.dense())
     assert abs(got - dense) <= 1e-9 * max(1.0, dense)
+
+
+@pytest.mark.parametrize("n", [1000, 1001])
+def test_frobenius_distance_keeps_the_digits_of_small_changes(rng, n):
+    # iterates a relative 1e-6 or 1e-9 apart, as late in a solve, where the
+    # Gram identity ||f||^2 + ||g||^2 - 2<f, g> keeps few or no digits; 1000
+    # and 1001 straddle the size above which it was once used
+    f = random_factored(rng, n, n, 10)
+    h = random_factored(rng, n, n, 10)
+    for rel, tol in ((1e-6, 1e-8), (1e-9, 1e-5)):
+        g = combine(1.0, f, rel * f.norm() / h.norm(), h)
+        expected = np.linalg.norm(f.dense() - g.dense())
+        assert abs(frobenius_distance(f, g) - expected) <= tol * expected
+        assert abs(frobenius_distance(g, f) - expected) <= tol * expected
+    zero = FactoredMatrix.zero(n, n)
+    assert frobenius_distance(zero, FactoredMatrix.zero(n, n)) == 0.0
+    norm = np.linalg.norm(f.dense())
+    assert abs(frobenius_distance(f, zero) - norm) <= 1e-14 * norm
+    assert abs(frobenius_distance(zero, f) - norm) <= 1e-14 * norm
 
 
 def test_frobenius_distance_identical_objects_is_exact_zero(rng):

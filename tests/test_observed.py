@@ -35,6 +35,17 @@ def test_index_errors_name_the_position_and_shape():
         ObservedMatrix(3, 4, [2, 0, 1], [0, -1, 9], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("rows, cols, message", [
+    ([0.7, 2.0], [1.9, 0.0], "row indices must be integers, got dtype float64"),
+    ([0, 2], [1.0, 0.0], "column indices must be integers, got dtype float64"),
+    (np.array([True, False]), [1, 0], "row indices must be integers, got dtype bool"),
+    ([0, 2], np.array([False, True]), "column indices must be integers, got dtype bool"),
+])
+def test_non_integer_indices_are_rejected_not_truncated(rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        ObservedMatrix(3, 3, rows, cols, [1.0, 2.0])
+
+
 def test_shape_whose_row_major_key_overflows_is_rejected():
     with pytest.raises(ValueError, match=rf"m = 4 and n = {2**62}"):
         ObservedMatrix(4, 2**62, [3, 0], [5, 1], [1.0, 2.0])

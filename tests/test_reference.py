@@ -11,11 +11,13 @@ counts are still compared.
 
 svt's row-centered instance exhausts its budget in both runs; its dual sums
 every pass's SVD error without contracting it, so there only the count and
-the status are compared.  two_phase is checked end to end for its phase
-split, iterations and status; its phase one's ``rho`` to the resolution of
-its own stop test, ``eps_rho`` times the anchor; and its phase two against
-the reference's phase two run from the solver's own ``(rho, z)``, to ten
-``floor`` of ``eps_lambda``.
+the status are compared.  fpc runs at the stop level of frsi and svt; at its
+default ``eps_3 = 1e-3`` its first weight can take one pass more than the
+reference's (see the strict xfail below).  two_phase is checked end to end
+for its phase split, iterations and status; its phase one's ``rho`` to the
+resolution of its own stop test, ``eps_rho`` times the anchor; and its phase
+two against the reference's phase two run from the solver's own ``(rho,
+z)``, to ten ``floor`` of ``eps_lambda``.
 """
 
 import warnings
@@ -23,7 +25,7 @@ import warnings
 import numpy as np
 import pytest
 
-from matcomplete import (ObservedMatrix, SolverConfig, frsi, gen_synthetic, phase_one,
+from matcomplete import (ObservedMatrix, SolverConfig, fpc, frsi, gen_synthetic, phase_one,
                          soft_impute, svt, two_phase)
 
 import reference
@@ -56,6 +58,7 @@ SCHEMES = {
     "soft_impute": (lambda obs: soft_impute(obs, 1.0, eps=1e-6),
                     lambda obs: reference.soft_impute(obs, 1.0, 1e-6), 1e-6, 1e-8),
     "svt": (lambda obs: svt(obs, eps_2=1e-4), lambda obs: reference.svt(obs, 1e-4), 1e-4, 1e-6),
+    "fpc": (lambda obs: fpc(obs, eps_3=1e-4), lambda obs: reference.fpc(obs, 1e-4), 1e-4, 1e-6),
 }
 
 
@@ -82,6 +85,16 @@ def test_solver_follows_its_dense_reference(scheme, instance):
     assert (got.iterations, got.status) == (ref.iterations, ref.status)
     if ref.status != "budget-exhausted":
         assert relative_gap(got.x, ref.x) <= bound
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "fpc's first weight is the data's sigma_1 as a Lanczos value at tol 1e-3, "
+    "below the exact one; its first pass then leaves a rank-1 iterate of norm "
+    "1.4e-3 where the reference's stays zero, above eps_3, so one more pass follows"))
+def test_fpc_at_its_default_eps_follows_its_dense_reference():
+    obs = INSTANCES["square-seed3"]()
+    got, ref = fpc(obs), reference.fpc(obs, 1e-3)
+    assert (got.iterations, got.status) == (ref.iterations, ref.status)
 
 
 @pytest.mark.parametrize("instance", INSTANCES)
