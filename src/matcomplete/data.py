@@ -82,9 +82,11 @@ def gen_synthetic(n: int, r: int, p: float, seed: int) -> SyntheticInstance:
     total = n * n
     kept = _round_half_up((1.0 - p) * total)
     # the draws are sorted, so numpy need not shuffle them: the set it picks
-    # is the same either way
-    flat = np.sort(rng.choice(total, size=kept, replace=False, shuffle=False))
+    # is the same either way; sorted in place and freed before the gather
+    flat = rng.choice(total, size=kept, replace=False, shuffle=False)
+    flat.sort()
     rows, cols = np.divmod(flat, n)
+    del flat
     values = project_entries(ground_truth, rows, cols)
     obs = ObservedMatrix(n, n, rows, cols, values)
     return SyntheticInstance(ground_truth, obs, n, r, p, seed)
@@ -176,8 +178,10 @@ def split_holdout(obs: ObservedMatrix, fraction: float, seed: int) -> tuple[Obse
     test_idx = rng.choice(obs.nnz, size=n_test, replace=False)
     mask = np.zeros(obs.nnz, dtype=bool)
     mask[test_idx] = True
-    test = ObservedMatrix(obs.m, obs.n, obs.rows[mask], obs.cols[mask], obs.values[mask])
-    train = ObservedMatrix(obs.m, obs.n, obs.rows[~mask], obs.cols[~mask], obs.values[~mask])
+    rows, cols = obs.rows, obs.cols
+    test = ObservedMatrix(obs.m, obs.n, rows[mask], cols[mask], obs.values[mask])
+    mask = ~mask
+    train = ObservedMatrix(obs.m, obs.n, rows[mask], cols[mask], obs.values[mask])
     return train, test
 
 

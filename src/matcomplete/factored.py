@@ -151,7 +151,9 @@ def project_entries(f: FactoredMatrix, rows: np.ndarray, cols: np.ndarray) -> np
         out = np.empty(rows.size)
         out[order] = project_entries(f, rows[order], cols[order])
         return out
-    return _gather(f, GatherPlan.for_rows(f.shape, rows, cols))
+    # row i's entries start at the first row index not below i
+    indptr = np.searchsorted(rows, np.arange(f.shape[0] + 1))
+    return _gather(f, GatherPlan.from_csr(f.shape, indptr, cols))
 
 
 def _gather(f: FactoredMatrix, plan: GatherPlan) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -62,7 +62,9 @@ class GatherPlan:
     256 KB (one row when a row is longer).  The entries in rows
     ``b * height`` up to ``(b + 1) * height`` are ``edges[b]:edges[b + 1]``,
     ``blocks`` lists the blocks holding any entry, and ``flat`` is each
-    entry's flat index inside its block's tile.  The arrays are read-only.
+    entry's flat index inside its block's tile: int32, 4 bytes per entry,
+    whenever a tile's ``height * n`` values can be numbered in int32, which
+    is always the case when ``n <= 2**31``.  The arrays are read-only.
     """
 
     height: int
@@ -71,92 +73,134 @@ class GatherPlan:
     flat: np.ndarray
 
     @classmethod
-    def for_rows(cls, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray) -> "GatherPlan":
-        """The plan for in-range intp indices sorted by row; the columns of one
-        row may come in any order and pairs may repeat."""
+    def from_csr(cls, shape: tuple[int, int], indptr: np.ndarray, indices: np.ndarray) -> "GatherPlan":
+        """The plan for a CSR index structure: row ``i``'s entries are
+        ``indptr[i]:indptr[i + 1]``, with in-range column ``indices`` in any
+        order within a row; pairs may repeat.  No row index array is formed:
+        ``flat`` repeats each row's offset in its tile and adds the columns
+        in place."""
         m, n = shape
         height = max(1, _TILE_VALUES // n)
-        edges = np.searchsorted(rows, np.arange(0, m + height, height))
+        edges = indptr[np.minimum(np.arange(0, m + height, height), m)].astype(np.intp)
         blocks = np.flatnonzero(np.diff(edges))
-        flat = np.empty(rows.size, dtype=np.intp)
-        for b in blocks.tolist():
-            lo, hi = edges[b], edges[b + 1]
-            np.subtract(rows[lo:hi], b * height, out=flat[lo:hi])
-        flat *= n
-        flat += cols
+        fits = height * n - 1 <= np.iinfo(np.int32).max
+        offsets = (np.arange(m) % height * n).astype(np.int32 if fits else np.int64)
+        flat = np.repeat(offsets, np.diff(indptr))
+        flat += indices
         for a in (edges, blocks, flat):
             a.setflags(write=False)
         return cls(height, edges, blocks, flat)
 
 
-@dataclass(frozen=True, eq=False)
+def _row_major(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the index pairs strictly increase in row-major order, told by
+    comparisons alone: no int64 key, and temporaries of a byte per entry."""
+    later = rows[1:] > rows[:-1]
+    later |= (rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1])
+    return bool(later.all())
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ObservedMatrix:
     """Known entries of an m-by-n matrix, indexed by the sampling set omega.
 
-    Entries are stored in row-major order, sorted by the int64 key
-    ``rows * n + cols``, so that residual traversal and serialization are
-    reproducible; the sort runs only when that key is not already strictly
-    increasing, and m * n must fit in an int64.  Indices must be integers,
-    as in ``project_entries`` (:func:`checked_indices`): float and bool
-    indices are rejected, not truncated.  Duplicate (i, j) pairs are rejected
-    rather than merged, and NaN or infinite values are rejected outright.
-    The first gather builds :attr:`gather_plan`, 8 bytes per entry that
-    every later gather on this omega reads.  Instances are immutable
-    after construction and safe to share across threads.
+    Built as ``ObservedMatrix(m, n, rows, cols, values)`` and kept as its
+    compressed sparse rows only: ``values`` in row-major order, the column
+    indices and the row pointers, both int32 when they fit, so 8 + 4 bytes
+    per entry plus ``4 (m + 1)``.  Every operator on this omega shares the
+    index arrays.  :attr:`rows` and :attr:`cols` are read-only int64 arrays
+    built afresh on each access, 8 bytes per entry each; read them once.
+
+    The order is checked by comparisons, and the pairs are sorted (by the
+    int64 key ``rows * n + cols``) only when they do not already strictly
+    increase in row-major order, so that residual traversal and
+    serialization are reproducible; m * n must fit in an int64.  Building
+    copies no index array it does not keep when the indices are int64.
+    Indices must be integers, as in ``project_entries``
+    (:func:`checked_indices`): float and bool indices are rejected, not
+    truncated.  Duplicate (i, j) pairs are rejected rather than merged, and
+    NaN or infinite values are rejected outright.  The first gather builds
+    :attr:`gather_plan`, 4 bytes per entry that every later gather on this
+    omega reads.  Instances are immutable after construction and safe to
+    share across threads.
     """
 
     m: int
     n: int
-    rows: np.ndarray
-    cols: np.ndarray
     values: np.ndarray
+    _indptr: np.ndarray = field(repr=False)
+    _indices: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        check_counts(m=self.m, n=self.n)
-        if int(self.m) * int(self.n) > np.iinfo(np.int64).max:
-            raise ValueError(f"an m-by-n matrix with m = {self.m} and n = {self.n} has more "
+    def __init__(self, m: int, n: int, rows, cols, values):
+        check_counts(m=m, n=n)
+        if int(m) * int(n) > np.iinfo(np.int64).max:
+            raise ValueError(f"an m-by-n matrix with m = {m} and n = {n} has more "
                              "entries than an int64 row-major index can number")
-        rows, cols = checked_indices(self.shape, self.rows, self.cols)
-        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
-        values = np.asarray(self.values, dtype=np.float64).copy()
+        rows, cols = checked_indices((m, n), rows, cols)
+        values = np.asarray(values, dtype=np.float64)
         if values.shape != rows.shape:
             raise ValueError("rows, cols and values must be 1-d arrays of equal length, "
                              f"got {rows.size} index pairs and values of shape {values.shape}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            k = int(np.flatnonzero(~finite)[0])
+        if not np.isfinite(values).all():
+            k = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ValueError(f"non-finite value {values[k]} at ({rows[k]}, {cols[k]}); "
                              "observed entries must be finite")
-        key = rows * self.n
-        key += cols
-        if not (key[1:] > key[:-1]).all():
-            # keys are unique once duplicates are rejected, so the sort need not be stable
+        # in int32 when it fits, scipy takes the CSR structure as is instead
+        # of scanning and copying it
+        fits = max(rows.size, m, n) <= np.iinfo(np.int32).max
+        index_dtype = np.int32 if fits else np.int64
+        if _row_major(rows, cols):
+            values = values.copy()
+            # row i's entries start at the first row index not below i
+            indptr = np.searchsorted(rows, np.arange(m + 1))
+            indices = cols.astype(index_dtype)
+        else:
+            # keys are unique once duplicates are rejected, so the sort need
+            # not be stable
+            key = rows * n
+            key += cols
             order = np.argsort(key)
             key = key[order]
             dup = np.flatnonzero(key[1:] == key[:-1])
             if dup.size:
-                i, j = divmod(int(key[dup[0]]), self.n)
+                i, j = divmod(int(key[dup[0]]), n)
                 raise ValueError(f"duplicate index pair ({i}, {j}) in omega")
-            rows, cols, values = rows[order], cols[order], values[order]
-        # CSR structure, shared by every operator built on this omega; in int32
-        # when it fits, scipy takes it as is instead of scanning and copying it
-        fits = max(rows.size, self.m, self.n) <= np.iinfo(np.int32).max
-        index_dtype = np.int32 if fits else np.int64
-        # row i's entries start at the first row index not below i
-        indptr = np.searchsorted(rows, np.arange(self.m + 1)).astype(index_dtype)
-        indices = cols.astype(index_dtype, copy=False)
-        arrays = dict(rows=rows, cols=cols, values=values, _indptr=indptr, _indices=indices)
+            values = values[order]
+            del order  # freed before the indices are made, to lower the peak
+            # row i's entries start at the first key not below i * n
+            indptr = np.searchsorted(key, np.arange(m + 1) * n)
+            key %= n  # the sorted columns, in the key's own buffer
+            indices = key.astype(index_dtype, copy=False)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        arrays = dict(values=values, _indptr=indptr.astype(index_dtype), _indices=indices)
         for name, a in arrays.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "_gather_plan", None)
 
     @property
+    def rows(self) -> np.ndarray:
+        """The row index of each entry, a read-only int64 array built on each
+        access from the row pointers."""
+        rows = np.repeat(np.arange(self.m, dtype=np.int64), np.diff(self._indptr))
+        rows.setflags(write=False)
+        return rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        """The column index of each entry, a read-only int64 copy of the CSR
+        column indices made on each access."""
+        cols = self._indices.astype(np.int64)
+        cols.setflags(write=False)
+        return cols
+
+    @property
     def gather_plan(self) -> GatherPlan:
         """The :class:`GatherPlan` of this omega, built on first use."""
         plan = self._gather_plan
         if plan is None:
-            plan = GatherPlan.for_rows(self.shape, self.rows, self.cols)
+            plan = GatherPlan.from_csr(self.shape, self._indptr, self._indices)
             # one assignment publishes the finished plan: a thread racing here
             # builds an equal one, and no reader sees a partial plan
             object.__setattr__(self, "_gather_plan", plan)
@@ -168,7 +212,7 @@ class ObservedMatrix:
 
     @property
     def nnz(self) -> int:
-        return int(self.rows.size)
+        return int(self.values.size)
 
     @property
     def omega(self) -> np.ndarray:

@@ -739,7 +739,11 @@ def svt(
         if progress.frozen(max(change, dual_move)):
             status = STALLED
             break
-        y = y + step * misfit
+        # in place, and the misfit dropped before the next gather makes its
+        # successor: the same bits as y + step * misfit
+        misfit *= step
+        y += misfit
+        del misfit
 
     return SolveResult(x, progress.iterations, status, progress.trace)
 

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,22 @@ def test_omega_is_the_sorted_shuffled_draw(p):
         rng.standard_normal((3, n))
         kept = rng.choice(n * n, size=inst.obs.nnz, replace=False)
         assert np.array_equal(inst.obs.rows * n + inst.obs.cols, np.sort(kept))
+
+
+@pytest.mark.parametrize("args, rows_sha256, cols_sha256", [
+    ((1000, 10, 0.4, 0), "a85691a1a53486549d82714dc300c5276cc406b4965ebabce719dcfe3ddd6a13",
+     "982a99d185b3d0ec47e49494e6e2f757dad0f2c19ab3adf1ea815b5ea82cde3e"),
+    ((2000, 20, 0.92, 0), "a46d8f0eefd938ab2c901338445e62a5aa7dd19ff50dc21deeea59a98ecc8d82",
+     "1dfd9465b8054000c976af2180beabe1b8821a9eb8aaebbb4e740126c9b74912"),
+], ids=["table1", "hard"])
+def test_benchmark_omegas_are_pinned(args, rows_sha256, cols_sha256):
+    # the benchmark's instances: integer draws, so the digests hold whatever
+    # the BLAS
+    obs = gen_synthetic(*args).obs
+    rows, cols = obs.rows, obs.cols
+    assert rows.dtype == cols.dtype == np.int64
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == rows_sha256
+    assert hashlib.sha256(cols.tobytes()).hexdigest() == cols_sha256
 
 
 def test_ground_truth_has_exact_rank():

@@ -130,8 +130,8 @@ def test_gather_plan_is_built_once_and_read_only(rng, monkeypatch):
     f, obs = tiled_case(rng, 47, 3000, 4, 0.05, (11, 12))
     g = random_factored(rng, 47, 3000, 2)
     built = []
-    build = GatherPlan.for_rows
-    monkeypatch.setattr(GatherPlan, "for_rows", lambda *args: built.append(args) or build(*args))
+    build = GatherPlan.from_csr
+    monkeypatch.setattr(GatherPlan, "from_csr", lambda *args: built.append(args) or build(*args))
     first = project_omega(f, obs)
     plan = obs.gather_plan
     second = project_omega(g, obs)
@@ -140,6 +140,10 @@ def test_gather_plan_is_built_once_and_read_only(rng, monkeypatch):
     assert np.array_equal(first, project_entries(f, obs.rows, obs.cols))
     assert np.array_equal(second, project_entries(g, obs.rows, obs.cols))
     assert plan.height == 32768 // 3000
+    # each entry's flat index in its tile, from the int64 rows and columns
+    rows, cols = obs.rows, obs.cols
+    assert plan.flat.dtype == np.int32
+    assert np.array_equal(plan.flat, rows % plan.height * obs.n + cols)
     for a in (plan.edges, plan.blocks, plan.flat):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -212,7 +216,7 @@ def test_project_entries_rejects_bad_indices(rng, rows, cols, match):
 
 def test_project_memory_stays_near_output_size():
     # a 600k-entry gather at k=10 keeps only tile-sized temporaries beside
-    # its 4.8 MB output; the first one also builds omega's 4.8 MB plan
+    # its 4.8 MB output; the first one also builds omega's 2.4 MB int32 plan
     inst = gen_synthetic(1000, 10, 0.4, 0)
     peaks = []
     for _ in range(2):
@@ -224,7 +228,7 @@ def test_project_memory_stays_near_output_size():
             tracemalloc.stop()
     assert out.nbytes == 8 * 600_000
     plan = inst.obs.gather_plan.flat.nbytes
-    assert plan == 8 * 600_000
+    assert plan == 4 * 600_000
     assert peaks[0] <= out.nbytes + plan + 3_000_000, f"first gather peak {peaks[0] / 1e6:.1f} MB"
     assert peaks[1] <= out.nbytes + 3_000_000, f"gather peak {peaks[1] / 1e6:.1f} MB"
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +56,46 @@ def test_shape_whose_row_major_key_overflows_is_rejected():
     assert widest.values.tolist() == [2.0, 1.0]
 
 
+# --- storage: the CSR arrays only, measured with tracemalloc ---
+
+
+def traced(build):
+    """``build()``, the bytes it still holds and its peak, both above what
+    was allocated before it ran."""
+    tracemalloc.start()
+    try:
+        out = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
+def test_storage_keeps_only_the_csr_arrays():
+    # 600k int64 entries of a 1000 x 1000 matrix: 8 B of value and 4 B of
+    # int32 column index per entry are kept, plus int32 row pointers
+    m = n = 1000
+    nnz = 600_000
+    rng = np.random.default_rng(0)
+    rows, cols = np.divmod(np.sort(rng.choice(m * n, size=nnz, replace=False)), n)
+    values = rng.standard_normal(nnz)
+    kept_budget = 12 * nnz + 4 * (m + 1)
+    obs, kept, peak = traced(lambda: ObservedMatrix(m, n, rows, cols, values))
+    assert kept <= kept_budget + 10_000, f"kept {kept / nnz:.2f} B per entry"
+    assert peak <= 13 * nnz, f"sorted build peak {peak / nnz:.2f} B per entry"
+    perm = rng.permutation(nnz)
+    shuffled = rows[perm], cols[perm], values[perm]
+    again, kept, peak = traced(lambda: ObservedMatrix(m, n, *shuffled))
+    assert kept <= kept_budget + 10_000, f"kept {kept / nnz:.2f} B per entry"
+    assert peak <= 40 * nnz, f"shuffled build peak {peak / nnz:.2f} B per entry"
+    for a, b in ((obs, again), (again, obs)):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a._indices, b._indices) and np.array_equal(a._indptr, b._indptr)
+    # each access builds fresh int64 arrays
+    assert obs.rows is not obs.rows
+    assert np.array_equal(obs.rows, rows) and np.array_equal(obs.cols, cols)
+
+
 # --- canonical order: one row-major key, checked against a two-key lexsort ---
 
 
@@ -91,6 +133,7 @@ def test_canonical_order_matches_lexsort(case):
         for name, expected in lexsort_reference(*args).items():
             got = getattr(obs, name)
             assert got.dtype == expected.dtype and np.array_equal(got, expected), (form, name)
+            assert not got.flags.writeable, (form, name)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -373,6 +374,21 @@ def test_svt_recovers_small_instance(rng):
     res = svt(inst.obs, eps_2=1e-4, it_max=300)
     assert res.status == CONVERGED
     assert rer(inst.ground_truth, res.x) <= 1e-3
+
+
+def test_svt_holds_one_misfit_at_a_time():
+    # the dual moves in place and a pass's misfit is dropped before the next
+    # gather, so beside the 4.8 MB dual only one 4.8 MB misfit lives at a
+    # time; holding the last one over the gather added a third
+    inst = gen_synthetic(1000, 10, 0.4, 0)
+    inst.obs.gather_plan  # built before tracing: omega keeps it
+    tracemalloc.start()
+    try:
+        svt(inst.obs, it_max=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * inst.obs.nnz + 3_000_000, f"svt peak {peak / 1e6:.1f} MB"
 
 
 def test_svt_stops_cleanly_when_its_dual_diverges():
