@@ -1,8 +1,9 @@
 """Benchmark harness: synthetic sweeps, MovieLens runs and trace dumps.
 
 Every command writes a deterministic ``results``/``sweep``/``trace`` CSV
-(identical bytes for identical arguments and seeds), keeps wall-clock numbers
-in a separate ``timings.csv``, and records run context in ``metadata.json``.
+(identical bytes for identical arguments and seeds), keeps the wall-clock time
+of each solve, and of nothing else, in a separate ``timings.csv``, and records
+run context in ``metadata.json``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .data import gen_synthetic, load_movielens, make_ratings_dataset, rer, rmse
 from .observed import check_counts
-from .solvers import SolverConfig, fpc, frsi, phase_one, svt, two_phase
+from .solvers import SolverConfig, TraceRecord, fpc, frsi, phase_one, svt, two_phase
 
 TOLERANCE_BUNDLES = {
     "paper-synth": dict(eps_rho=1e-4, eps_1=1e-4, eps_2=1e-4, eps_3=1e-3, eps_lambda=1e-6),
@@ -32,21 +33,21 @@ METHODS = ("two_phase", "frsi", "svt", "fpc")
 OUT_DIR_ENV = "MATCOMPLETE_OUT_DIR"
 
 
-def build_config(
-    r: int,
-    bundle: str = "paper-synth",
-    beta: float = 2.0,
-    w: int = 500,
-    it_max: int = 500,
-    **overrides,
-) -> SolverConfig:
-    """Solver configuration from a named tolerance bundle plus overrides."""
+def build_config(r: int, bundle: str = "paper-synth", **overrides) -> SolverConfig:
+    """Solver configuration from a named tolerance bundle plus overrides;
+    every field neither sets is :class:`SolverConfig`'s default."""
     if bundle not in TOLERANCE_BUNDLES:
         raise ValueError(f"unknown tolerance bundle {bundle!r}; expected one of {sorted(TOLERANCE_BUNDLES)}")
-    kwargs = dict(TOLERANCE_BUNDLES[bundle])
-    kwargs.update(r=r, beta=beta, w=w, it_max=it_max)
-    kwargs.update(overrides)
-    return SolverConfig(**kwargs)
+    return SolverConfig(r=r, **{**TOLERANCE_BUNDLES[bundle], **overrides})
+
+
+def _check_methods(methods) -> tuple:
+    """The methods as a tuple, once each is known to :func:`solve_method`."""
+    methods = tuple(methods)
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return methods
 
 
 def solve_method(method: str, obs, config: SolverConfig, ground_truth=None):
@@ -101,26 +102,29 @@ def _summary_stats(values) -> dict:
     return {"median": float(np.median(arr)), "mean": float(arr.mean())}
 
 
+def _timed_solve(method: str, obs, config: SolverConfig):
+    """``(result, time_s, error)`` of one :func:`solve_method` call, whose
+    time covers the solve alone.  A failure is returned as the row's error
+    text, with ``result`` None, so that the run goes on."""
+    t0 = time.perf_counter()
+    try:
+        result = solve_method(method, obs, config)
+    except Exception as exc:
+        return None, time.perf_counter() - t0, f"{type(exc).__name__}: {exc}"
+    return result, time.perf_counter() - t0, None
+
+
 def _synth_job(args):
     """One (method, seed) benchmark run; regenerates the instance in-process."""
     method, n, r, p, seed, bundle, beta, w, it_max = args
     inst = gen_synthetic(n, r, p, seed)
-    config = build_config(r, bundle, beta, w, it_max)
-    t0 = time.perf_counter()
-    try:
-        result = solve_method(method, inst.obs, config)
-    except Exception as exc:  # recorded per-row; the sweep continues
-        return {
-            "method": method, "seed": seed, "IT": math.nan, "Rer": math.nan,
-            "rank_hat": math.nan, "status": "error", "time_s": time.perf_counter() - t0,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-    elapsed = time.perf_counter() - t0
-    return {
-        "method": method, "seed": seed, "IT": result.iterations,
-        "Rer": rer(inst.ground_truth, result.x), "rank_hat": result.recovered_rank,
-        "status": result.status, "time_s": elapsed, "error": None,
-    }
+    config = build_config(r, bundle, beta=beta, w=w, it_max=it_max)
+    result, elapsed, error = _timed_solve(method, inst.obs, config)
+    row = {"method": method, "seed": seed, "time_s": elapsed, "error": error}
+    if error:
+        return {**row, "IT": math.nan, "Rer": math.nan, "rank_hat": math.nan, "status": "error"}
+    return {**row, "IT": result.iterations, "Rer": rer(inst.ground_truth, result.x),
+            "rank_hat": result.recovered_rank, "status": result.status}
 
 
 def run_synth(
@@ -144,10 +148,7 @@ def run_synth(
     every run completed without error.
     """
     check_counts(seeds=seeds, threads=threads)
-    methods = tuple(methods)
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    methods = _check_methods(methods)
     os.makedirs(out_dir, exist_ok=True)
     jobs = [
         (method, n, r, p, seed, bundle, beta, w, it_max)
@@ -201,7 +202,7 @@ def run_beta_sweep(
     n: int,
     r: int,
     p: float,
-    betas,
+    betas=tuple(float(b) for b in range(2, 31)),
     w: int = 1000,
     eps_rho: float = 1e-8,
     seed: int = 0,
@@ -234,7 +235,7 @@ def run_beta_sweep(
 def run_movielens(
     out_dir: str,
     dataset: str,
-    fmt: str,
+    fmt: str = "ml100k",
     methods=METHODS,
     ranks=(130,),
     beta: float = 2.0,
@@ -251,7 +252,7 @@ def run_movielens(
     directory per requested rank (``r<rank>/results.csv`` when several ranks
     are swept, flat files for a single rank).
     """
-    methods = tuple(methods)
+    methods = _check_methods(methods)
     obs_full = load_movielens(dataset, fmt)
     data = make_ratings_dataset(obs_full, holdout, seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -260,21 +261,18 @@ def run_movielens(
     for rank in ranks:
         rank_dir = os.path.join(out_dir, f"r{rank}") if sweep else out_dir
         os.makedirs(rank_dir, exist_ok=True)
+        config = build_config(rank, bundle, beta=beta, w=w, it_max=it_max, step_svt=1.99)
         rows, timings, errors = [], [], []
         for method in methods:
-            config = build_config(rank, bundle, beta, w, it_max, step_svt=1.99)
-            t0 = time.perf_counter()
-            try:
-                result = solve_method(method, data.train, config)
-                row = (method, result.iterations,
-                       rmse(data.obs_full, result.x), rmse(data.test, result.x),
-                       result.status)
-            except Exception as exc:
-                row = (method, math.nan, math.nan, math.nan, "error")
-                errors.append({"method": method, "error": f"{type(exc).__name__}: {exc}"})
+            result, elapsed, error = _timed_solve(method, data.train, config)
+            timings.append((method, elapsed))
+            if error:
+                rows.append((method, math.nan, math.nan, math.nan, "error"))
+                errors.append({"method": method, "error": error})
                 exit_code = 1
-            timings.append((method, time.perf_counter() - t0))
-            rows.append(row)
+            else:
+                rows.append((method, result.iterations, rmse(data.obs_full, result.x),
+                             rmse(data.test, result.x), result.status))
         _write_csv(os.path.join(rank_dir, "results.csv"),
                    ("method", "IT", "RMSE_omega_hat", "RMSE_test", "status"), rows)
         _write_csv(os.path.join(rank_dir, "timings.csv"), ("method", "time_s"), timings)
@@ -307,11 +305,13 @@ def run_trace(
 ) -> int:
     """Per-iteration trace of a single solve.
 
-    Writes ``trace.csv`` with iteration, phase, rho, objective, residual and
-    change ratios, the rank estimate and the SVD tolerance the iterate was
-    computed at; a ``fejer_slack`` column is added
+    Writes ``trace.csv`` with a row per :class:`TraceRecord` and a column
+    per field but the clock's ``time_s``: iteration, phase, rho, objective,
+    residual and change ratios, the rank estimate and the SVD tolerance the
+    iterate was computed at.  The ``fejer_slack`` column comes last, and only
     when ``ground_truth`` is set, which requires a synthetic instance.
     """
+    _check_methods((method,))
     if ground_truth and dataset is not None:
         raise ValueError("fejer slack requires a synthetic ground truth; drop --ground-truth for dataset runs")
     if ground_truth and method not in ("two_phase", "frsi"):
@@ -323,12 +323,14 @@ def run_trace(
         inst = gen_synthetic(n, r, p, seed)
         obs = inst.obs
         truth = inst.ground_truth if ground_truth else None
-    config = build_config(r, bundle, beta, w, it_max, step_svt=1.99 if dataset else None)
+    config = build_config(r, bundle, beta=beta, w=w, it_max=it_max,
+                          step_svt=1.99 if dataset else None)
     result = solve_method(method, obs, config, truth)
 
     os.makedirs(out_dir, exist_ok=True)
-    columns = ["iteration", "phase", "rho", "f_lambda", "rel_residual", "rel_change", "rank",
-               "svd_tol"]
+    from dataclasses import fields
+
+    columns = [f.name for f in fields(TraceRecord) if f.name not in ("time_s", "fejer_slack")]
     if ground_truth:
         columns.append("fejer_slack")
     rows = [[getattr(rec, name) for name in columns] for rec in result.trace]

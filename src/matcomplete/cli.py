@@ -1,8 +1,14 @@
-"""Command-line entry point for the benchmark harness."""
+"""Command-line entry point for the benchmark harness.
+
+Each subcommand calls one ``matcomplete.bench.run_*`` function: every
+option's ``dest`` is a parameter of that function, and every default but
+``--out-dir``'s is the function's own.
+"""
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -33,19 +39,28 @@ def _int_list(text: str) -> list[int]:
     return [int(t) for t in _items(text, "value")]
 
 
-def _add_out_dir(parser):
+def _command(sub, name: str, run, summary: str):
+    """The parser of subcommand ``name``, which calls ``run`` with its options
+    as keywords; an option added to it takes ``run``'s default for its dest."""
+    parser = sub.add_parser(name, help=summary)
+    defaults = {
+        param.name: param.default
+        for param in inspect.signature(run).parameters.values()
+        if param.default is not param.empty
+    }
+    parser.set_defaults(run=run, **defaults)
     parser.add_argument("--out-dir", default=os.environ.get(OUT_DIR_ENV, "bench-out"),
                         help=f"output directory (default: ${OUT_DIR_ENV} or ./bench-out)")
+    return parser
 
 
-def _add_solver_options(parser, bundle: str):
+def _add_solver_options(parser):
     """The options of the commands that run the solvers with a tolerance bundle."""
-    parser.add_argument("--tol-bundle", choices=sorted(TOLERANCE_BUNDLES), default=bundle,
-                        help=f"named tolerance bundle (default: {bundle})")
-    parser.add_argument("--w", type=int, default=500, help="warm-start iteration budget")
-    parser.add_argument("--it-max", type=int, default=500, help="main iteration budget")
-    parser.add_argument("--beta", type=float, default=2.0, help="momentum parameter")
-    _add_out_dir(parser)
+    parser.add_argument("--tol-bundle", dest="bundle", choices=sorted(TOLERANCE_BUNDLES),
+                        help="named tolerance bundle (default: %(default)s)")
+    parser.add_argument("--w", type=int, help="warm-start iteration budget (default: %(default)s)")
+    parser.add_argument("--it-max", type=int, help="main iteration budget (default: %(default)s)")
+    parser.add_argument("--beta", type=float, help="momentum parameter (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,78 +71,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="run solvers on seeded synthetic instances")
+    p = _command(sub, "synth", run_synth, "run solvers on seeded synthetic instances")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--p", type=float, required=True, help="deleted fraction in [0, 1)")
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds (0..seeds-1)")
-    p.add_argument("--methods", type=_methods_list, default=list(METHODS))
-    p.add_argument("--threads", type=int, default=1, help="parallel worker processes")
-    _add_solver_options(p, "paper-synth")
+    p.add_argument("--seeds", type=int, help="number of seeds, 0..seeds-1 (default: %(default)s)")
+    p.add_argument("--methods", type=_methods_list)
+    p.add_argument("--threads", type=int, help="parallel worker processes (default: %(default)s)")
+    _add_solver_options(p)
 
-    p = sub.add_parser("beta-sweep", help="warm-start iterations across a momentum grid")
+    p = _command(sub, "beta-sweep", run_beta_sweep, "warm-start iterations across a momentum grid")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps-rho", type=float, default=1e-8)
-    p.add_argument("--w", type=int, default=1000, help="warm-start iteration budget")
-    p.add_argument("--beta", type=_float_list, default=[float(b) for b in range(2, 31)],
-                   help="comma list of momentum parameters (default: 2, 3, ..., 30)")
-    _add_out_dir(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--eps-rho", type=float)
+    p.add_argument("--w", type=int, help="warm-start iteration budget (default: %(default)s)")
+    p.add_argument("--beta", dest="betas", type=_float_list,
+                   help="comma list of momentum parameters (default: %(default)s)")
 
-    p = sub.add_parser("movielens", help="holdout benchmark on a MovieLens ratings file")
+    p = _command(sub, "movielens", run_movielens, "holdout benchmark on a MovieLens ratings file")
     p.add_argument("--dataset", required=True, help="path to the ratings file")
-    p.add_argument("--format", choices=("ml100k", "ml1m"), default="ml100k")
-    p.add_argument("--r", type=_int_list, default=[130], help="target rank (comma list sweeps)")
-    p.add_argument("--methods", type=_methods_list, default=list(METHODS))
-    p.add_argument("--holdout", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    _add_solver_options(p, "paper-ml")
+    p.add_argument("--format", dest="fmt", choices=("ml100k", "ml1m"))
+    p.add_argument("--r", dest="ranks", type=_int_list,
+                   help="target rank, a comma list sweeps (default: %(default)s)")
+    p.add_argument("--methods", type=_methods_list)
+    p.add_argument("--holdout", type=float)
+    p.add_argument("--seed", type=int)
+    _add_solver_options(p)
 
-    p = sub.add_parser("trace", help="per-iteration trace of one solve")
+    p = _command(sub, "trace", run_trace, "per-iteration trace of one solve")
     p.add_argument("--method", choices=METHODS, required=True)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--r", type=int, default=10)
-    p.add_argument("--p", type=float, default=0.4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dataset", default=None, help="trace on a ratings file instead of synthetic data")
-    p.add_argument("--format", choices=("ml100k", "ml1m"), default="ml100k")
+    p.add_argument("--n", type=int)
+    p.add_argument("--r", type=int)
+    p.add_argument("--p", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--dataset", help="trace on a ratings file instead of synthetic data")
+    p.add_argument("--format", dest="fmt", choices=("ml100k", "ml1m"))
     p.add_argument("--ground-truth", action="store_true",
                    help="record the fejer slack column (synthetic instances only)")
-    _add_solver_options(p, "paper-synth")
+    _add_solver_options(p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    del options["command"]
+    run = options.pop("run")
     try:
-        if args.command == "synth":
-            return run_synth(
-                args.out_dir, args.n, args.r, args.p, seeds=args.seeds, methods=args.methods,
-                beta=args.beta, w=args.w, it_max=args.it_max, bundle=args.tol_bundle,
-                threads=args.threads,
-            )
-        if args.command == "beta-sweep":
-            return run_beta_sweep(args.out_dir, args.n, args.r, args.p, args.beta, w=args.w,
-                                  eps_rho=args.eps_rho, seed=args.seed)
-        if args.command == "movielens":
-            return run_movielens(
-                args.out_dir, args.dataset, args.format, methods=args.methods, ranks=args.r,
-                beta=args.beta, w=args.w, it_max=args.it_max, bundle=args.tol_bundle,
-                holdout=args.holdout, seed=args.seed,
-            )
-        if args.command == "trace":
-            return run_trace(
-                args.out_dir, args.method, n=args.n, r=args.r, p=args.p, seed=args.seed,
-                dataset=args.dataset, fmt=args.format, ground_truth=args.ground_truth,
-                beta=args.beta, w=args.w, it_max=args.it_max, bundle=args.tol_bundle,
-            )
+        return run(**options)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -263,6 +263,10 @@ class ObservedMatrix:
                 raise ValueError(f"{path}:1: malformed header {header!r}") from None
             if nnz < 0:
                 raise ValueError(f"{path}:1: negative entry count {nnz}")
+            # duplicate pairs are rejected, so no valid file holds more
+            if nnz > m * n:
+                raise ValueError(f"{path}:1: entry count {nnz} exceeds the {m * n} "
+                                 f"entries of a {m}-by-{n} matrix")
             rows = np.empty(nnz, dtype=np.int64)
             cols = np.empty(nnz, dtype=np.int64)
             values = np.empty(nnz, dtype=np.float64)

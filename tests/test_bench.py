@@ -1,14 +1,17 @@
+import argparse
 import importlib
+import inspect
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matcomplete import bench
+from matcomplete import bench, cli
 from matcomplete.bench import build_config, run_beta_sweep, run_movielens, run_synth, run_trace
-from matcomplete.cli import main
+from matcomplete.cli import build_parser, main
 
 
 def read_csv_rows(path):
@@ -67,9 +70,21 @@ def test_synth_records_failures_and_exit_code(tmp_path, monkeypatch):
     assert len(summary["errors"]) == 2
 
 
-def test_synth_rejects_unknown_method(tmp_path):
-    with pytest.raises(ValueError, match="unknown method"):
-        run_synth(str(tmp_path / "x"), n=20, r=2, p=0.3, seeds=1, methods=("magic",))
+@pytest.mark.parametrize("run, kwargs", [
+    (run_synth, dict(n=20, r=2, p=0.3, seeds=1, methods=("frsi", "magic"))),
+    (run_movielens, dict(dataset="ratings.dat", methods=("frsi", "magic"))),
+    (run_trace, dict(method="magic")),
+], ids=["synth", "movielens", "trace"])
+def test_unknown_method_is_rejected_before_any_work(tmp_path, monkeypatch, run, kwargs):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data made before the methods were checked")
+
+    monkeypatch.setattr(bench, "gen_synthetic", no_data)
+    monkeypatch.setattr(bench, "load_movielens", no_data)
+    out = tmp_path / "x"
+    with pytest.raises(ValueError, match="unknown method 'magic'"):
+        run(str(out), **kwargs)
+    assert not out.exists()
 
 
 def test_beta_sweep_single_and_budget(tmp_path):
@@ -146,6 +161,27 @@ def test_movielens_toy_end_to_end(tmp_path):
         assert np.isfinite(float(row["RMSE_test"]))
 
 
+def test_movielens_timings_cover_the_solve_alone(tmp_path, monkeypatch):
+    # scoring takes 0.25 s per rmse call here, twice per row, which the
+    # solve's time must not include
+    ratings = tmp_path / "u.data"
+    lines = [f"{u}\t{i}\t{(u * i) % 5 + 1}\t0" for u in range(1, 31) for i in range(1, 41)
+             if (u + 2 * i) % 3]
+    ratings.write_text("\n".join(lines) + "\n")
+    rmse = bench.rmse
+
+    def slow_rmse(obs, x):
+        time.sleep(0.25)
+        return rmse(obs, x)
+
+    monkeypatch.setattr(bench, "rmse", slow_rmse)
+    out = tmp_path / "ml"
+    assert run_movielens(str(out), str(ratings), methods=("frsi",), ranks=(2,)) == 0
+    _, rows = read_csv_rows(out / "timings.csv")
+    assert [r["method"] for r in rows] == ["frsi"]
+    assert float(rows[0]["time_s"]) < 0.25
+
+
 def test_movielens_rank_sweep_writes_subdirs(tmp_path):
     ratings = tmp_path / "u.data"
     lines = [f"{u}\t{i}\t{(u * i) % 5 + 1}\t0" for u in range(1, 9) for i in range(1, 9)]
@@ -159,6 +195,42 @@ def test_movielens_rank_sweep_writes_subdirs(tmp_path):
 
 
 # --- CLI wiring ---
+
+
+# the options each subcommand requires, and the keywords they become
+REQUIRED_OPTIONS = {
+    "synth": (["--n", "30", "--r", "2", "--p", "0.3"], dict(n=30, r=2, p=0.3)),
+    "beta-sweep": (["--n", "30", "--r", "2", "--p", "0.3"], dict(n=30, r=2, p=0.3)),
+    "movielens": (["--dataset", "u.data"], dict(dataset="u.data")),
+    "trace": (["--method", "svt"], dict(method="svt")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_OPTIONS))
+def test_cli_options_are_run_function_parameters(tmp_path, monkeypatch, command):
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(REQUIRED_OPTIONS)
+    parser = subparsers.choices[command]
+    run = parser.get_default("run")
+    params = inspect.signature(run).parameters
+    for action in parser._actions:
+        if action.dest != "help":
+            assert action.dest in params, action.option_strings
+
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return 0
+
+    record.__signature__ = inspect.signature(run)  # the defaults the parser copies
+    monkeypatch.setattr(cli, run.__name__, record)
+    argv, required = REQUIRED_OPTIONS[command]
+    assert main([command, *argv, "--out-dir", str(tmp_path)]) == 0
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    assert calls == [{**defaults, **required, "out_dir": str(tmp_path)}]
+    assert set(calls[0]) == set(params)
 
 
 def test_cli_synth_and_exit_code(tmp_path):

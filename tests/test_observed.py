@@ -246,3 +246,14 @@ def test_load_rejects_negative_count(tmp_path):
     path.write_text("3 3 -1\n")
     with pytest.raises(ValueError, match=r"neg\.txt:1: negative entry count"):
         ObservedMatrix.load(path)
+
+
+def test_load_rejects_count_above_matrix_size(tmp_path):
+    # a count no m-by-n matrix can hold is refused before anything is allocated
+    path = tmp_path / "huge.txt"
+    path.write_text("3 3 1000000000000\n0 0 1.0\n")
+    with pytest.raises(ValueError, match=r"huge\.txt:1: entry count 1000000000000 exceeds the 9 "):
+        ObservedMatrix.load(path)
+    path.write_text("3 3 10\n")
+    with pytest.raises(ValueError, match=r"huge\.txt:1: entry count 10 exceeds"):
+        ObservedMatrix.load(path)
