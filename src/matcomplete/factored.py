@@ -132,6 +132,14 @@ class FactoredSum:
         return self.alpha * self.f.dense() + self.beta * self.g.dense()
 
 
+def check_finite_factors(**iterates: FactoredMatrix) -> None:
+    """Reject any iterate with a NaN or inf in its factors, before a gather or
+    an SVD reads it.  The message starts with the argument's name."""
+    for name, f in iterates.items():
+        if not all(np.isfinite(a).all() for a in (f.u, f.sigma, f.v)):
+            raise ValueError(f"{name} must have finite factors")
+
+
 def project_entries(f: FactoredMatrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Entries ``f[rows[t], cols[t]]`` without forming the dense matrix.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from dataclasses import dataclass, field
@@ -22,11 +23,12 @@ def check_counts(**counts) -> None:
 
 
 def check_positive(**values) -> None:
-    """Reject any value (tolerance, weight, step) that is not greater than 0,
-    NaN included.  The message starts with the value's name."""
+    """Reject any value (tolerance, weight, step) that is not a finite number
+    greater than 0, NaN and inf included.  The message starts with the value's
+    name."""
     for name, value in values.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def checked_indices(shape: tuple[int, int], rows, cols) -> tuple[np.ndarray, np.ndarray]:
@@ -261,6 +263,9 @@ class ObservedMatrix:
                 m, n, nnz = (int(t) for t in header)
             except ValueError:
                 raise ValueError(f"{path}:1: malformed header {header!r}") from None
+            if m < 1 or n < 1:
+                raise ValueError(f"{path}:1: matrix shape must be at least 1-by-1, "
+                                 f"got {m}-by-{n}")
             if nnz < 0:
                 raise ValueError(f"{path}:1: negative entry count {nnz}")
             # duplicate pairs are rejected, so no valid file holds more

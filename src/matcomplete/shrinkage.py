@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factored import FactoredMatrix, frobenius_distance
+from .factored import FactoredMatrix, check_finite_factors, frobenius_distance
 from .observed import ObservedMatrix, check_counts, check_positive
 from .operators import assemble_iterate_operator
 from .svd import truncated_svd
@@ -51,6 +51,7 @@ def fixed_rank_step(
     check_counts(r=r)
     if x.shape != obs.shape:
         raise ValueError(f"shape mismatch: iterate {x.shape} vs observed {obs.shape}")
+    check_finite_factors(x=x)
     p = min(obs.shape)
     op = assemble_iterate_operator(obs, x)
     f = truncated_svd(op, min(r + 1, p), last_vector=False)

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .factored import FactoredMatrix, FactoredSum, combine, frobenius_distance, project_omega
+from .factored import (FactoredMatrix, FactoredSum, check_finite_factors, combine,
+                       frobenius_distance, project_omega)
 from .observed import ObservedMatrix, check_counts, check_positive
 # assemble_iterate_operator is not called here; it stays bound in this module
 # because perfbench/spans.py traces it by rebinding solvers.assemble_iterate_operator
@@ -382,35 +383,27 @@ def _shrink_at_level(progress, op, level, r_est):
 
     Computes enough leading triplets that everything left out lies below
     ``level``: starts by asking for ``r_est + 1`` triplets and grows the
-    request by ``_RANK_BUMP`` (capped at min(m, n) - 1) until the last computed
-    singular value drops below ``level``, the spectrum is numerically
-    exhausted, or the full decomposition is reached.  The increment doubles
-    on repeated growth within one call so a badly cold estimate costs O(log)
-    recomputations.  ``sigma_beyond`` is that last value when it lies below
-    ``level`` (the largest value shrunk to zero), else NaN.
-
-    The SVDs are ``progress.svd``'s, so the last triplet's vectors are not
-    converged: that triplet is either shrunk to zero, since its value lies
-    below ``level`` or at most ``1e-15 sigma_1`` (a tie that
-    :func:`soft_threshold` drops), or it comes from the full decomposition
-    (``k == min(m, n)``), which is exact.
+    request by ``_RANK_BUMP``, doubling the increment on each growth within
+    one call, so a badly cold estimate costs O(log) recomputations.  The
+    loop ends when :func:`soft_threshold` drops the last computed value, or
+    at the full decomposition (``k == min(m, n)``), which is exact.
+    ``sigma_beyond`` is that dropped value (the largest value shrunk to
+    zero), else NaN.  The SVDs are ``progress.svd``'s, so the last triplet's
+    vectors are not converged; they enter the result only from the full
+    decomposition.
     """
-    p = min(op.shape)
-    cap = p - 1
-    r_try = min(max(r_est, 0), cap)
+    cap = min(op.shape) - 1
+    r_try = min(r_est, cap)
     grow = _RANK_BUMP
     while True:
-        f = progress.svd(op, min(r_try + 1, p))
+        f = progress.svd(op, r_try + 1)
         if f is None:
             return None
-        s_last = f.sigma[-1]
-        # grow while the last value is above the level and not a tie with zero
-        if not (r_try < cap and s_last >= level and s_last > f.sigma[0] * 1e-15):
-            break
+        x = soft_threshold(f, level)
+        if x.k < f.k or r_try == cap:
+            return x, (f.sigma[-1] if x.k < f.k else math.nan)
         r_try = min(r_try + grow, cap)
         grow *= 2
-    sigma_beyond = s_last if s_last < level else math.nan
-    return soft_threshold(f, level), sigma_beyond
 
 
 def phase_one(
@@ -524,12 +517,12 @@ def phase_two(
     Each pass shrinks the filled-in momentum iterate at ``lam`` and stops once
     ``min(|f(prev) - f(cur)| / f(prev), ||cur - prev||_F / ||prev||_F)``
     drops to ``eps_lambda``.  The truncation size follows an adaptive rank
-    estimate: starting from ``r``, the request grows by ``_RANK_BUMP`` whenever
-    the smallest computed singular value still exceeds ``lam``, and the next
-    estimate is the number of positive shifted values.  With ``momentum``
-    false the extrapolation weight is pinned to zero, which recovers the
-    plain fixed-point iteration.  Records are numbered after those already in
-    ``trace``.
+    estimate: starting from ``r``, the request grows by ``_RANK_BUMP``
+    whenever the shrink at ``lam`` keeps the smallest computed singular value,
+    and the next estimate is the number of positive shifted values.  With
+    ``momentum`` false the extrapolation weight is pinned to zero, which
+    recovers the plain fixed-point iteration.  Records are numbered after
+    those already in ``trace``.
 
     ``first_iterate``, when given, must be the first step's result, ``lam``
     shrunk off the filled-in ``x0``, as :class:`PhaseOneResult` carries it
@@ -549,6 +542,9 @@ def phase_two(
     if first_iterate is not None and first_iterate.shape != obs.shape:
         raise ValueError(f"shape mismatch: first iterate {first_iterate.shape} "
                          f"vs observed {obs.shape}")
+    check_finite_factors(x0=x0)
+    if first_iterate is not None:
+        check_finite_factors(first_iterate=first_iterate)
     progress = _Progress(obs, eps_lambda, trace)
     x_prev = x0
     misfit_prev = _misfit(x0, obs)
@@ -779,8 +775,8 @@ def fpc(
         if f is None:
             return SolveResult(x, 0, DIVERGED, progress.trace)
         lambda0 = float(f.sigma[0])
-    if not lambda0 >= 0:
-        raise ValueError("lambda0 must be nonnegative")
+    if not (lambda0 >= 0 and math.isfinite(lambda0)):
+        raise ValueError(f"lambda0 must be nonnegative and finite, got {lambda0}")
 
     misfit = obs.values
     lam = lambda0

@@ -220,25 +220,6 @@ def _extend(w, basis, j, scale, rng):
     return c, nrm, scale
 
 
-def _repair_null_columns(factor, sigma, rng):
-    """Replace norm-deficient columns paired with zero singular values.
-
-    Such columns arise only when a basis ran out of directions; the paired
-    singular value is zero, so any orthonormal completion preserves the
-    represented matrix.
-    """
-    norms = np.linalg.norm(factor, axis=0)
-    deficient = np.flatnonzero(norms < 1.0 - 1e-8)
-    if deficient.size == 0:
-        return
-    if (sigma[deficient] != 0.0).any():
-        raise AssertionError("norm-deficient factor column with nonzero sigma")
-    factor[:, deficient] = 0.0
-    for i in deficient:
-        fresh = _fresh_direction(rng, factor, factor.shape[1])
-        factor[:, i] = 0.0 if fresh is None else fresh
-
-
 def _value_certified(s, residuals, k, bound):
     """Whether the refined bound puts the k-th Ritz value within
     ``_VALUE_BOUND_FRACTION * bound`` of a singular value.
@@ -334,7 +315,6 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     def extract(pl, s, prt, count):
         uu = bu[:, :j] @ pl[:, :count]
         vv = bv[:, :prt.shape[1]] @ prt[:count, :].T
-        _repair_null_columns(vv, s[:count], rng)
         if start.transposed:
             uu, vv = vv, uu
         return FactoredMatrix(uu, s[:count].copy(), vv)
@@ -350,10 +330,13 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         steps += 1
 
         if j == p:
-            # the smaller side's basis is complete, so the opposite basis plus
-            # the coupling vector spans the full row/column space and the
-            # extended projection [B | beta e_{j-1}] reproduces A exactly
-            return extract(*np.linalg.svd(bmat[:j, :j + 1], full_matrices=False), k)
+            # the smaller side's basis is complete, so A = U B V^T exactly,
+            # plus beta u_{j-1} v_j^T when beta is nonzero: a wide run's unit
+            # coupling vector v_j, orthogonal to V.  _extend returns beta as
+            # exactly 0.0 on a breakdown, which every square or tall run
+            # reaches here; B alone is then exact, with orthonormal U and V
+            cols = j + 1 if beta else j
+            return extract(*np.linalg.svd(bmat[:j, :cols], full_matrices=False), k)
 
         if j < k:
             continue

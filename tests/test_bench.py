@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matcomplete import bench, cli
+from matcomplete import SolverConfig, bench, cli, gen_synthetic
 from matcomplete.bench import build_config, run_beta_sweep, run_movielens, run_synth, run_trace
 from matcomplete.cli import build_parser, main
 
@@ -68,6 +68,27 @@ def test_synth_records_failures_and_exit_code(tmp_path, monkeypatch):
     assert all(r["status"] == "error" for r in rows)
     summary = json.loads((tmp_path / "fail" / "summary.json").read_text())
     assert len(summary["errors"]) == 2
+
+
+def test_solve_method_forwards_each_methods_config_fields(monkeypatch):
+    calls = {}
+    for name in bench.METHODS:
+        def record(*args, _name=name, **kwargs):
+            calls[_name] = (args, kwargs)
+            return _name
+
+        monkeypatch.setattr(bench, name, record)
+    inst = gen_synthetic(20, 2, 0.5, seed=0)
+    obs, truth = inst.obs, inst.ground_truth
+    config = SolverConfig(r=3, eps_1=2e-4, eps_2=3e-4, eps_3=4e-3, it_max=17, step_svt=1.5)
+    for method in bench.METHODS:
+        assert bench.solve_method(method, obs, config, truth) == method
+    assert calls == {
+        "two_phase": ((obs, config, truth), {}),
+        "frsi": ((obs, 3, 2e-4, 17), {"ground_truth": truth}),
+        "svt": ((obs,), {"step": 1.5, "eps_2": 3e-4, "it_max": 17}),
+        "fpc": ((obs, 4e-3, 17), {}),
+    }
 
 
 @pytest.mark.parametrize("run, kwargs", [
@@ -182,12 +203,48 @@ def test_movielens_timings_cover_the_solve_alone(tmp_path, monkeypatch):
     assert float(rows[0]["time_s"]) < 0.25
 
 
-def test_movielens_rank_sweep_writes_subdirs(tmp_path):
-    ratings = tmp_path / "u.data"
+def toy_ratings(path):
+    """An 8-by-8 ratings file in the ml100k layout; returns its path as text."""
     lines = [f"{u}\t{i}\t{(u * i) % 5 + 1}\t0" for u in range(1, 9) for i in range(1, 9)]
-    ratings.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_movielens_records_failures_and_exit_code(tmp_path, monkeypatch):
+    solve = bench.solve_method
+
+    def frsi_fails(method, obs, config, ground_truth=None):
+        if method == "frsi":
+            raise RuntimeError("synthetic failure")
+        return solve(method, obs, config, ground_truth)
+
+    monkeypatch.setattr(bench, "solve_method", frsi_fails)
+    out = tmp_path / "ml"
+    code = run_movielens(str(out), toy_ratings(tmp_path / "u.data"), methods=("svt", "frsi"),
+                         ranks=(1,), it_max=20)
+    assert code == 1
+    _, rows = read_csv_rows(out / "results.csv")
+    assert [(r["method"], r["status"]) for r in rows][1] == ("frsi", "error")
+    assert rows[0]["status"] != "error"
+    assert rows[1]["IT"] == "nan" and rows[1]["RMSE_test"] == "nan"
+    errors = json.loads((out / "errors.json").read_text())
+    assert errors == [{"method": "frsi", "error": "RuntimeError: synthetic failure"}]
+
+
+def test_trace_on_a_ratings_file(tmp_path):
+    out = tmp_path / "tr"
+    assert run_trace(str(out), "frsi", r=2, dataset=toy_ratings(tmp_path / "u.data"),
+                     it_max=4) == 0
+    header, rows = read_csv_rows(out / "trace.csv")
+    assert header[:2] == ["iteration", "phase"] and "fejer_slack" not in header
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["params"]["dataset"] == str(tmp_path / "u.data")
+    assert 1 <= len(rows) == meta["params"]["iterations"] <= 4
+
+
+def test_movielens_rank_sweep_writes_subdirs(tmp_path):
     out = tmp_path / "sweep"
-    code = run_movielens(str(out), str(ratings), "ml100k", methods=("frsi",),
+    code = run_movielens(str(out), toy_ratings(tmp_path / "u.data"), "ml100k", methods=("frsi",),
                          ranks=(1, 2), it_max=50)
     assert code == 0
     assert (out / "r1" / "results.csv").exists()

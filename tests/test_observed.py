@@ -248,6 +248,16 @@ def test_load_rejects_negative_count(tmp_path):
         ObservedMatrix.load(path)
 
 
+def test_load_rejects_a_shape_below_one_by_one(tmp_path):
+    # checked before the entry count, which an m * n below 1 would misreport
+    path = tmp_path / "shape.txt"
+    for header, shape in [("0 3 0", "0-by-3"), ("-3 3 1", "-3-by-3"), ("3 0 0", "3-by-0")]:
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=rf"shape\.txt:1: matrix shape must be at least "
+                                             rf"1-by-1, got {shape}$"):
+            ObservedMatrix.load(path)
+
+
 def test_load_rejects_count_above_matrix_size(tmp_path):
     # a count no m-by-n matrix can hold is refused before anything is allocated
     path = tmp_path / "huge.txt"

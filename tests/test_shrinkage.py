@@ -170,6 +170,9 @@ def test_rank_validation(rng):
     obs = random_observed(rng, 5, 5, 0.5)
     with pytest.raises(ValueError, match="at least 1"):
         fixed_rank_step(FactoredMatrix.zero(5, 5), obs, 0)
+    u = np.eye(5, 1)
+    with pytest.raises(ValueError, match="^x must have finite factors"):
+        fixed_rank_step(FactoredMatrix(u, np.array([np.nan]), u), obs, 1)
 
 
 # --- fejer_slack ---

@@ -135,6 +135,7 @@ def test_config_from_text_errors():
         ("r = 3\nit_max = 5.0\n", "line 2: it_max "),
         ("r = 3.5\n", "line 1: r "),
         ("r = 3\n# comment\nbeta = -1\n", "line 3: beta "),
+        ("r = 2\neps_rho = inf\n", "line 2: eps_rho "),
     ]:
         with pytest.raises(ValueError, match=where):
             SolverConfig.from_text(text)
@@ -217,6 +218,15 @@ def test_phase_two_parameter_validation(rng):
         phase_two(obs, 1, 1.0, FactoredMatrix.zero(6, 5))
     with pytest.raises(ValueError, match="shape mismatch: first iterate"):
         phase_two(obs, 1, 1.0, z, first_iterate=FactoredMatrix.zero(5, 6))
+    # a non-finite iterate from the caller never reaches a gather or an SVD
+    u = np.eye(5, 1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^x0 must have finite factors"):
+            phase_two(obs, 1, 1.0, FactoredMatrix(u, np.array([bad]), u))
+        v = u.copy()
+        v[0, 0] = bad
+        with pytest.raises(ValueError, match="^first_iterate must have finite factors"):
+            phase_two(obs, 1, 1.0, z, first_iterate=FactoredMatrix(u, np.ones(1), v))
 
 
 # --- two phase ---
@@ -326,6 +336,27 @@ def test_phase_two_computes_its_first_svd_when_phase_one_exhausts_w(svd_calls):
     res = two_phase(inst.obs, SolverConfig(r=3, beta=5.0, w=2))
     assert res.phase_split[0] == 2
     assert len(svd_calls) == res.iterations
+
+
+def test_shrink_at_level_grows_until_the_shrink_drops_the_last_value(svd_calls):
+    rng = np.random.default_rng(3)
+    u, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    v, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    sigma = np.linspace(10.0, 1.0, 20)
+    obs = full_observed((u * sigma) @ v.T)
+    op = assemble_iterate_operator(obs, FactoredMatrix.zero(20, 20))
+    # below the 7th value and above the 8th: one regrowth from 3 triplets to 8
+    level = 0.5 * (sigma[6] + sigma[7])
+    x, beyond = solvers._shrink_at_level(_Progress(obs, 1e-4), op, level, 2)
+    assert [f.k for _, f, _ in svd_calls] == [3, 8]
+    assert x.k == 7 and beyond == svd_calls[-1][1].sigma[-1]
+    # a level equal to the last computed value is a tie, which the shrink
+    # drops: no further SVD, and that value is the largest shrunk to zero
+    tie = svd_calls[0][1].sigma[-1]
+    svd_calls.clear()
+    x, beyond = solvers._shrink_at_level(_Progress(obs, 1e-4), op, tie, 2)
+    assert len(svd_calls) == 1
+    assert x.k == 2 and beyond == tie
 
 
 # --- frsi ---
@@ -879,6 +910,12 @@ def no_svd(monkeypatch):
     (lambda obs: fpc(obs, lambda0=math.nan), "lambda0"),
     (lambda obs: fpc(obs, floor=math.nan), "floor"),
     (lambda obs: fpc(obs, step=math.nan), "step"),
+    (lambda obs: svt(obs, step=math.inf), "step"),
+    (lambda obs: fpc(obs, step=math.inf), "step"),
+    (lambda obs: fpc(obs, lambda0=math.inf), "lambda0"),
+    (lambda obs: soft_impute(obs, math.inf), "lam"),
+    (lambda obs: phase_one(obs, 2, beta=math.inf), "beta"),
+    (lambda obs: two_phase(obs, SolverConfig(r=2, eps_rho=math.inf)), "eps_rho"),
     (lambda obs: two_phase(obs, SolverConfig(r=3.5)), "r"),
     (lambda obs: frsi(obs, 3.5), "r"),
     (lambda obs: frsi(obs, True), "r"),
@@ -889,8 +926,9 @@ def no_svd(monkeypatch):
     (lambda obs: fpc(obs, it_max=2.5), "it_max"),
 ], ids=["svt-step", "svt-eps_2", "phase_two-lam", "soft_impute-lam", "soft_impute-eps",
         "phase_one-eps_rho", "phase_one-beta", "frsi-eps_1", "fpc-lambda0", "fpc-floor",
-        "fpc-step", "two_phase-r", "frsi-r", "frsi-r-bool", "phase_one-w", "phase_two-it_max",
-        "soft_impute-rank_start", "svt-it_max", "fpc-it_max"])
+        "fpc-step", "svt-step-inf", "fpc-step-inf", "fpc-lambda0-inf", "soft_impute-lam-inf",
+        "phase_one-beta-inf", "two_phase-eps_rho-inf", "two_phase-r", "frsi-r", "frsi-r-bool",
+        "phase_one-w", "phase_two-it_max", "soft_impute-rank_start", "svt-it_max", "fpc-it_max"])
 def test_invalid_parameters_fail_before_any_svd(no_svd, solve, name):
     obs = gen_synthetic(20, 2, 0.5, seed=2).obs
     with pytest.raises(ValueError, match=rf"^{name} must be "):

@@ -110,6 +110,27 @@ def test_wide_and_tall_shapes(rng):
         f.validate()
 
 
+@pytest.mark.parametrize("last_vector", [True, False])
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("m, n", [(9, 9), (11, 6), (5, 10)], ids=["square", "tall", "wide"])
+def test_full_decomposition_is_exact_at_every_rank(m, n, transposed, last_vector):
+    # the exact branch, with breakdowns on the way and on either side: every
+    # factor must stay orthonormal and the values match the dense oracle.  A
+    # full-rank wide run ends on a nonzero coupling, the others on a zero one
+    rng = np.random.default_rng(m * n)
+    p = min(m, n)
+    start = LanczosStart(rng.standard_normal(m if transposed else n), transposed)
+    for rank in (0, 1, p // 2, p - 1, p):
+        a = random_factored(rng, m, n, rank).dense()
+        op = assemble_iterate_operator(full_observed(a), FactoredMatrix.zero(m, n))
+        f = truncated_svd(op, p, start=start, last_vector=last_vector)
+        f.validate(1e-10)
+        oracle = dense_svd(a)
+        scale = max(oracle.sigma[0], 1.0)
+        assert np.abs(f.sigma - oracle.sigma).max() <= 1e-12 * scale
+        assert np.abs(f.dense() - a).max() <= 1e-12 * scale
+
+
 def test_budget_exhaustion_carries_best(rng):
     op = splr_op(rng, 60, 70, 3, 0.25)
     with pytest.raises(TruncatedSvdError) as info:
@@ -130,8 +151,9 @@ def test_argument_validation(rng):
     for k in (2.5, True):
         with pytest.raises(ValueError, match="k must be an integer"):
             truncated_svd(op, k)
-    with pytest.raises(ValueError, match="tol"):
-        truncated_svd(op, 2, tol=0.0)
+    for tol in (0.0, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            truncated_svd(op, 2, tol=tol)
     for max_steps in (0, -5):
         with pytest.raises(ValueError, match="max_steps must be at least 1"):
             truncated_svd(op, 2, max_steps=max_steps)
