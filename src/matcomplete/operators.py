@@ -71,6 +71,30 @@ class SpLrOperator:
             out = out + v @ (w * (u.T @ y))
         return out
 
+    def matmat(self, x: np.ndarray) -> np.ndarray:
+        """The operator times an n-by-b block: one multi-vector sparse product
+        on a C-ordered copy of the block, plus two GEMMs for the low-rank
+        part."""
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:
+            raise ValueError(f"expected a block of {self.shape[1]} rows, got {x.shape}")
+        out = self._sparse @ x
+        u, w, v = self._low_rank
+        if w.size:
+            out += u @ (w[:, None] * (v.T @ x))
+        return out
+
+    def rmatmat(self, y: np.ndarray) -> np.ndarray:
+        """The transpose times an m-by-b block, as :meth:`matmat`."""
+        y = np.ascontiguousarray(y, dtype=np.float64)
+        if y.ndim != 2 or y.shape[0] != self.shape[0]:
+            raise ValueError(f"expected a block of {self.shape[0]} rows, got {y.shape}")
+        out = self._sparse_t @ y
+        u, w, v = self._low_rank
+        if w.size:
+            out += v @ (w[:, None] * (u.T @ y))
+        return out
+
     def check_residual(self, tol: float = 1e-12) -> None:
         """Verify a misfit operator, ``s = obs.values - P_omega(z)``, against a
         fresh gather: the operators of two_phase, phase_one/phase_two (at

@@ -46,6 +46,13 @@ _SVD_TOL_MAX = 1e-6
 _SVD_PROGRESS = 3e-2
 _SVD_TOL_CAP = 1e-3
 
+# The fixed-rank loops (phase_one, frsi) hand each SVD the previous one's
+# factor as a block start once the last change ratio is at most this: the
+# warm block step then converges in 3-5 block products, where Lanczos takes
+# about as many steps as triplets.  Earlier, and in the shrinkage loops,
+# whose rank moves, the SVDs run Lanczos from the summed factor alone.
+_BLOCK_SETTLED = 0.1
+
 # svt has diverged once its iterate misfits the data by this many times the
 # data's own norm (the zero matrix misfits it by exactly once): the dual then
 # grows geometrically until it overflows.
@@ -253,37 +260,54 @@ class _Progress:
     The tolerance of the last SVD is recorded with each step; one handed a
     trace starts from that of the trace's last record, the SVD that
     produced phase two's handed-over first iterate.
+
+    With ``block`` (the fixed-rank loops) the warm start also carries the
+    previous SVD's factor, ``cold.warm(f, block=True)``, once ``d`` is at
+    most ``_BLOCK_SETTLED``: :func:`truncated_svd` then tries its warm block
+    step before Lanczos.
     """
 
-    def __init__(self, obs: ObservedMatrix, eps: float, trace: SolveTrace | None = None):
+    def __init__(self, obs: ObservedMatrix, eps: float, trace: SolveTrace | None = None, *,
+                 block: bool = False):
         self.obs = obs
         self.obs_norm = _data_norm(obs)
         self.trace = trace if trace is not None else SolveTrace()
         self._first = len(self.trace)
         self._frozen_runs = 0
         self._cold = self._start = LanczosStart.from_data(obs)
+        self._block = block
+        # the last SVD's result, kept only with block: the fixed-rank loops
+        # hold it until their next SVD anyway
+        self._last = None
         self._floor = min(max(_SVD_ACCURACY * eps, DEFAULT_TOL), _SVD_TOL_MAX)
         self._cap = max(self._floor, min(eps, _SVD_TOL_CAP))
         self._changes = (math.nan, math.nan)
         self.tol = self.trace.records[-1].svd_tol if self.trace.records else math.nan
 
-    def svd(self, op, k: int) -> FactoredMatrix | None:
+    def svd(self, op, k: int, tol: float | None = None) -> FactoredMatrix | None:
         """The leading ``k`` triplets of ``op``, at the tolerance the progress
-        so far sets.  The k-th is read as a value only (``last_vector=False``),
-        still within the tolerance: every caller shrinks it to zero or reads
-        only its value.  None when a value is not finite; the solver then
-        stops as diverged, since its stop test would read the NaN, or an
-        iterate that :func:`soft_threshold` shrank to zero by dropping it, and
-        could pass."""
+        so far sets, or at ``tol`` when it is given.  The k-th is read as a
+        value only (``last_vector=False``), still within the tolerance: every
+        caller shrinks it to zero or reads only its value.  None when a value
+        is not finite; the solver then stops as diverged, since its stop test
+        would read the NaN, or an iterate that :func:`soft_threshold` shrank
+        to zero by dropping it, and could pass."""
         change, before = self._changes
         self.tol = self._cap
         if math.isfinite(change):
             slowing = 1.0 - change / before if math.isfinite(before) and before > 0 else 1.0
             self.tol = max(self._floor, min(self._cap, _SVD_PROGRESS * change * max(0.0, slowing)))
-        f = truncated_svd(op, k, tol=self.tol, start=self._start, last_vector=False)
+        if tol is not None:
+            self.tol = tol
+        start = self._start
+        if self._last is not None and change <= _BLOCK_SETTLED:
+            start = self._cold.warm(self._last, block=True)
+        f = truncated_svd(op, k, tol=self.tol, start=start, last_vector=False)
         if not np.isfinite(f.sigma).all():
             return None
         self._start = self._cold.warm(f)
+        if self._block:
+            self._last = f
         return f
 
     @property
@@ -434,10 +458,12 @@ def phase_one(
 
     The SVDs follow :class:`_Progress`'s rule at ``eps_rho``: the first two
     run at ``min(eps_rho, 1e-3)``, since the first step starts from zero,
-    and later ones follow the iterate's change.  The (r+1)-th triplet is read
-    only as a value, since ``rho`` feeds the stop test and the shrinkage
-    that sends that triplet to zero; at that cap its value is within a tenth
-    of what the stop test resolves, ``eps_rho`` times the anchor.  An SVD
+    and later ones follow the iterate's change.  Once that change is at most
+    ``_BLOCK_SETTLED`` each SVD first tries a warm block step from the
+    previous one's factor.  The (r+1)-th triplet is read only as a value,
+    since ``rho`` feeds the stop test and the shrinkage that sends that
+    triplet to zero; at that cap its value is within a tenth of what the
+    stop test resolves, ``eps_rho`` times the anchor.  An SVD
     with a non-finite value stops phase one at once, as ``diverged``.
     The momentum point reaches the SVD as the two iterates' factor pairs
     (:class:`FactoredSum`); it is refactored into one orthonormal
@@ -455,7 +481,7 @@ def phase_one(
     check_positive(eps_rho=eps_rho, beta=beta)
     m, n = obs.shape
     p = min(m, n)
-    progress = _Progress(obs, eps_rho, trace)
+    progress = _Progress(obs, eps_rho, trace, block=True)
     x_prev = FactoredMatrix.zero(m, n)
     misfit_prev = obs.values
     op = SpLrOperator(obs, x_prev, misfit_prev)
@@ -636,13 +662,14 @@ def frsi(
     ratios pair adjacent iterates: at the step that produced ``x_new`` the
     residual is the previous iterate's and the change spans the pair, so the
     test first fires one step after the residual criterion is met.  The
-    SVDs follow :class:`_Progress`'s rule at ``eps_1``; one with a
-    non-finite value ends the run at once as ``diverged``, with the last
-    finite iterate.
+    SVDs follow :class:`_Progress`'s rule at ``eps_1``, with the warm block
+    step once the change is at most ``_BLOCK_SETTLED``, as in
+    :func:`phase_one`; one with a non-finite value ends the run at once as
+    ``diverged``, with the last finite iterate.
     """
     check_counts(r=r, it_max=it_max)
     check_positive(eps_1=eps_1)
-    progress = _Progress(obs, eps_1)
+    progress = _Progress(obs, eps_1, block=True)
     p = min(obs.shape)
     x = FactoredMatrix.zero(*obs.shape)
     misfit = obs.values
@@ -761,9 +788,12 @@ def fpc(
     until ``||x_new - x||_F / max(1, ||x||_F) <= eps_3`` or 100 passes,
     warm-starting the next weight from the last iterate.  Terminates once the
     floor weight has been solved, within a global ``it_max`` budget over all
-    inner iterations.  The SVDs, ``lambda0``'s included, follow
-    :class:`_Progress`'s rule at ``eps_3``; one with a non-finite value ends
-    the run at once as ``diverged``, with the last finite iterate.
+    inner iterations.  The SVDs follow :class:`_Progress`'s rule at
+    ``eps_3``, except ``lambda0``'s, at ``DEFAULT_TOL``: the first pass from
+    zero shrinks ``step P_omega(a)`` at ``lambda0 * step``, a tie that leaves
+    zero only with ``lambda0`` at the data's sigma_1 to rounding.  An SVD
+    with a non-finite value ends the run at once as ``diverged``, with the
+    last finite iterate.
     """
     check_counts(it_max=it_max)
     check_positive(floor=floor, step=step, eps_3=eps_3)
@@ -771,7 +801,7 @@ def fpc(
     progress = _Progress(obs, eps_3)
     x = FactoredMatrix.zero(m, n)
     if lambda0 is None:
-        f = progress.svd(SpLrOperator(obs, x, obs.values), 1)
+        f = progress.svd(SpLrOperator(obs, x, obs.values), 1, tol=DEFAULT_TOL)
         if f is None:
             return SolveResult(x, 0, DIVERGED, progress.trace)
         lambda0 = float(f.sigma[0])

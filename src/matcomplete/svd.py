@@ -3,9 +3,11 @@
 The driver runs Golub-Kahan-Lanczos bidiagonalization with full classical
 Gram-Schmidt reorthogonalization at every step, its second pass run only when
 the first one needs it (the DGKS criterion), and thick restarting that
-retains the leading Ritz triplets plus the coupling vector.  It only touches
-the operator through ``matvec``/``rmatvec``, so sparse-plus-low-rank iterates
-are never densified.
+retains the leading Ritz triplets plus the coupling vector.  A start that
+carries a block of vectors first tries a warm block step (subspace iteration
+with a Rayleigh-Ritz step) before any Lanczos step.  The driver only touches
+the operator through ``matvec``/``rmatvec`` and, for a block, ``matmat``/
+``rmatmat``, so sparse-plus-low-rank iterates are never densified.
 """
 
 from __future__ import annotations
@@ -29,6 +31,15 @@ _VALUE_BOUND_FRACTION = 0.1
 # Daniel, Gragg, Kaufman & Stewart (Math. Comp. 1976): Gram-Schmidt needs a
 # second pass only when the first kept less than this share of the norm
 _DGKS_KEEP = 1.0 / np.sqrt(2.0)
+# the block step's power steps: each takes two block products after the first
+# one, so a block call takes 3 or 5 products before it accepts or falls back
+_BLOCK_POWER_STEPS = 2
+# CholeskyQR counts a block as rank deficient, and so fails, when a diagonal
+# entry of its Cholesky factor is at most this fraction of the largest
+_CHOLESKY_FLOOR = 1e-6
+# CholeskyQR loses orthogonality with the square of the block's condition
+# number, so a block result is accepted only with factors this orthonormal
+_ORTHONORMAL_TOL = 1e-12
 
 
 class TruncatedSvdError(RuntimeError):
@@ -89,10 +100,16 @@ class LanczosStart:
     other block.  The cold start :meth:`from_data` has a component on every
     direction the data does not make exchangeable, and ``cold.warm(f)``,
     called on it, is the form that mixes it into each warm start.
+
+    ``block``, when given, is a 2-d array of vectors on the same side, one
+    per column, from which :func:`truncated_svd` tries a warm block step
+    before it runs Lanczos from ``vector``; ``cold.warm(f, block=True)``
+    builds it.  It is checked, and kept read-only, like ``vector``.
     """
 
     vector: np.ndarray
     transposed: bool
+    block: np.ndarray | None = None
 
     def __post_init__(self):
         vector = np.array(self.vector, dtype=np.float64)
@@ -107,6 +124,15 @@ class LanczosStart:
                 vector /= np.abs(vector).max()
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
+        if self.block is not None:
+            block = np.asarray(self.block, dtype=np.float64).view()
+            if block.ndim != 2 or block.shape[0] != vector.size:
+                raise ValueError(f"start block must have {vector.size} rows, "
+                                 f"got shape {block.shape}")
+            if not np.isfinite(block).all():
+                raise ValueError("start block must be finite")
+            block.setflags(write=False)
+            object.__setattr__(self, "block", block)
 
     @classmethod
     def from_data(cls, obs: ObservedMatrix) -> "LanczosStart":
@@ -142,7 +168,7 @@ class LanczosStart:
         vector /= np.linalg.norm(vector)
         return cls(vector, bool(transposed))
 
-    def warm(self, f: FactoredMatrix) -> "LanczosStart":
+    def warm(self, f: FactoredMatrix, block: bool = False) -> "LanczosStart":
         """The start of the run after the one that returned ``f``, on this
         start's side.
 
@@ -151,22 +177,34 @@ class LanczosStart:
         is ``s + 0.01 c/||c||``, with ``c`` this start's vector.  The mixed-in
         ``c`` keeps every direction of a cold start in the Krylov space, so
         the run meets the same ``tol`` wherever ``s`` lies.
+
+        With ``block`` the start also carries ``f``'s factor on that side
+        followed by ``c, c^2, c^3`` (elementwise), with ``c`` divided by its
+        largest magnitude: three columns that follow the data as ``c`` does
+        and reach the directions the factor misses.
         """
-        s = (f.u if self.transposed else f.v).sum(axis=1)
+        factor = f.u if self.transposed else f.v
+        s = factor.sum(axis=1)
         # divided by its largest magnitude, then normalized: the order fixes
         # the start's last bits, and so every warm-started solve's
         s = s / np.abs(s).max()
         s /= np.linalg.norm(s)
-        return LanczosStart(s + _WARM_PERTURBATION * (self.vector / np.linalg.norm(self.vector)),
-                            self.transposed)
+        vector = s + _WARM_PERTURBATION * (self.vector / np.linalg.norm(self.vector))
+        if not block:
+            return LanczosStart(vector, self.transposed)
+        c = self.vector / np.abs(self.vector).max()
+        return LanczosStart(vector, self.transposed, np.column_stack((factor, c, c * c, c * c * c)))
 
 
 class _Transposed:
-    """The transpose of a matrix-free operator."""
+    """The transpose of a matrix-free operator; its block products are
+    forwarded too when the operator has them."""
 
     def __init__(self, op):
         self.shape = op.shape[::-1]
         self.matvec, self.rmatvec = op.rmatvec, op.matvec
+        if hasattr(op, "matmat"):
+            self.matmat, self.rmatmat = op.rmatmat, op.matmat
 
 
 def _orthogonalize(w, basis, j):
@@ -239,6 +277,77 @@ def _value_certified(s, residuals, k, bound):
     return gap > res and res * res / (gap - res) <= _VALUE_BOUND_FRACTION * bound
 
 
+def _converged(s, residuals, k, tol, last_vector):
+    """Which of the leading ``k`` Ritz triplets, with values ``s`` (in
+    descending order, and any beyond the k-th) and ``residuals``, meet
+    :func:`truncated_svd`'s contract: the residual within ``tol * sigma_1``,
+    or for the k-th without ``last_vector`` a certified value."""
+    sref = max(s[0], np.finfo(float).tiny)
+    converged = residuals[:k] <= tol * sref
+    if not last_vector and not converged[k - 1]:
+        converged[k - 1] = _value_certified(s, residuals, k, tol * sref)
+    return converged
+
+
+def _cholesky_qr(y):
+    """CholeskyQR of a block: ``(q, l)`` with ``y = q l^T``, ``q`` having
+    orthonormal columns and ``l`` lower triangular, or None when ``y`` is
+    numerically rank deficient (the Cholesky factorization of its Gram matrix
+    fails, or a diagonal entry of ``l`` is at most ``_CHOLESKY_FLOOR`` times
+    the largest).  It reads ``y`` only through its Gram matrix and one
+    product, so permuting ``y``'s rows permutes ``q``'s with no sign to pick.
+    """
+    try:
+        l = np.linalg.cholesky(y.T @ y)
+    except np.linalg.LinAlgError:
+        return None
+    d = np.diagonal(l)
+    if not d.min() > _CHOLESKY_FLOOR * d.max():
+        return None
+    return y @ np.linalg.inv(l).T, l
+
+
+def _block_svd(op, block, k, tol, last_vector):
+    """The warm block step: the leading ``k`` triplets when they meet
+    :func:`truncated_svd`'s contract, else None.
+
+    With ``Q_v`` the orthonormalized block, each pass takes ``A Q_v = Q_u
+    l_u^T``, ``A^T Q_u = Q_v' l^T`` and ``W = A Q_v'``; then ``Q_u^T A Q_v' =
+    l``, whose SVD ``P Sigma G^T`` gives ``U = Q_u P`` and ``V = Q_v' G``.
+    ``A^T U - V Sigma`` is zero by construction, so ``||W g_i - sigma_i
+    u_i||`` is each triplet's whole residual.  A pass that fails the
+    contract is followed by one more power step from ``W``.
+    """
+    qr = _cholesky_qr(block)
+    if qr is None:
+        return None
+    y = op.matmat(qr[0])
+    for _ in range(_BLOCK_POWER_STEPS):
+        qr = _cholesky_qr(y)
+        if qr is None:
+            return None
+        qu = qr[0]
+        qr = _cholesky_qr(op.rmatmat(qu))
+        if qr is None:
+            return None
+        qv, l = qr
+        y = op.matmat(qv)
+        p, s, gt = np.linalg.svd(l)
+        u = qu @ p[:, :k]
+        residuals = np.linalg.norm(y @ gt[:k].T - u * s[:k], axis=0)
+        if _converged(s, residuals, k, tol, last_vector).all():
+            v = qv @ gt[:k].T
+            if not (_orthonormal(u) and _orthonormal(v)):
+                return None
+            return FactoredMatrix(u, s[:k], v)
+    return None
+
+
+def _orthonormal(q):
+    """Whether ``q``'s columns are orthonormal to ``_ORTHONORMAL_TOL``."""
+    return np.abs(q.T @ q - np.eye(q.shape[1])).max() <= _ORTHONORMAL_TOL
+
+
 def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = None, *,
                   start: LanczosStart | None = None, last_vector: bool = True) -> FactoredMatrix:
     """Leading ``k`` singular triplets of a matrix-free operator.
@@ -253,7 +362,8 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         Convergence tolerance relative to the leading singular value: a Ritz
         pair is accepted once its residual drops below ``tol * sigma_1``.
     max_steps : int, optional
-        Lanczos step budget across restarts, an integer of at least 1;
+        Lanczos step budget across restarts, an integer of at least ``k``
+        (a run checks its triplets only once it has taken ``k`` steps);
         defaults to ``10 * k + 100``.  Exhaustion raises
         :class:`TruncatedSvdError` carrying the best triplets found so far.
     start : LanczosStart, optional
@@ -267,6 +377,18 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         stays in the Krylov space.  Without ``start`` the run starts from a
         seeded Gaussian of length ``n``.  The result is deterministic either
         way.
+
+        A start that carries a ``block`` of at least ``k`` and at most
+        ``min(m, n)`` columns first takes a warm block step on an operator
+        with ``matmat`` and ``rmatmat``: the block is orthonormalized by
+        CholeskyQR, and three block products and a Rayleigh-Ritz step follow,
+        then, when the triplets do not yet meet the contract below, one more
+        power step of two products.  Its result is returned when it meets the
+        contract.  Otherwise, or when a block turns out rank deficient, the
+        Lanczos run from ``start.vector`` follows.  A block confined to an
+        invariant subspace finds triplets only there; ``cold.warm(f,
+        block=True)`` adds three columns that reach what the cold start
+        reaches.
     last_vector : bool
         With the default True every triplet meets the residual test.  With
         False only the first ``k - 1`` do; the k-th is accepted as soon as
@@ -289,6 +411,8 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     if max_steps is None:
         max_steps = 10 * k + 100
     check_counts(max_steps=max_steps)
+    if max_steps < k:
+        raise ValueError(f"max_steps ({max_steps}) must be at least k ({k})")
     rng = np.random.default_rng(0x1B1D)
     if start is None:
         start = LanczosStart(rng.standard_normal(n), False)
@@ -297,6 +421,10 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         m, n = n, m
     if start.vector.shape != (n,):
         raise ValueError(f"start must be a vector of length {n}, got shape {start.vector.shape}")
+    if start.block is not None and k <= start.block.shape[1] <= p and hasattr(op, "matmat"):
+        f = _block_svd(op, start.block, k, tol, last_vector)
+        if f is not None:
+            return FactoredMatrix(f.v, f.sigma, f.u) if start.transposed else f
     keep = min(k + _RESTART_BUFFER, p)
     max_dim = min(p, max(2 * keep, keep + 20))
 
@@ -347,19 +475,15 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         last_check = j
 
         pl, s, prt = np.linalg.svd(bmat[:j, :j])
-        sref = max(s[0], np.finfo(float).tiny)
-        residuals = beta * np.abs(pl[j - 1, :])
-        converged = residuals <= tol * sref
-        if not last_vector and not converged[k - 1]:
-            converged[k - 1] = _value_certified(s, residuals, k, tol * sref)
-        if converged[:k].all():
+        converged = _converged(s, beta * np.abs(pl[j - 1, :]), k, tol, last_vector)
+        if converged.all():
             return extract(pl, s, prt, k)
         if steps >= max_steps:
             raise TruncatedSvdError(
                 f"Lanczos SVD stalled at {steps} steps: "
-                f"{int(converged[:k].sum())}/{k} triplets converged",
+                f"{int(converged.sum())}/{k} triplets converged",
                 extract(pl, s, prt, k),
-                converged[:k].copy(),
+                converged,
             )
         if j == max_dim:
             # thick restart: keep the leading Ritz pairs plus the residual

@@ -10,6 +10,7 @@ from matcomplete import (
     combine,
     project_omega,
 )
+from matcomplete import svd
 
 from conftest import full_observed, random_factored, random_observed
 
@@ -50,6 +51,39 @@ def test_matvec_matches_dense_oracle(rng):
     scale = max(1.0, np.abs(dense).max())
     assert np.abs(op.matvec(x) - dense @ x).max() <= 1e-12 * scale * np.linalg.norm(x)
     assert np.abs(op.rmatvec(y) - dense.T @ y).max() <= 1e-12 * scale * np.linalg.norm(y)
+
+
+def test_block_products_match_dense_oracle(rng):
+    # at the zero iterate, at an iterate and at a momentum point; through the
+    # transpose the two products swap
+    obs = random_observed(rng, 30, 20, 0.3)
+    iterates = [FactoredMatrix.zero(30, 20), random_factored(rng, 30, 20, 4),
+                FactoredSum(1.5, random_factored(rng, 30, 20, 3), -0.5,
+                            random_factored(rng, 30, 20, 2))]
+    for z in iterates:
+        op = SpLrOperator(obs, z, rng.standard_normal(obs.nnz))
+        dense = op.dense()
+        x = rng.standard_normal((20, 5))
+        # a row-strided block is taken as a C-ordered copy
+        y = np.asfortranarray(rng.standard_normal((30, 5)))
+        scale = max(1.0, np.abs(dense).max())
+        transposed = svd._Transposed(op)
+        for got, want, block in ((op.matmat(x), dense @ x, x), (op.rmatmat(y), dense.T @ y, y),
+                                 (transposed.matmat(y), dense.T @ y, y),
+                                 (transposed.rmatmat(x), dense @ x, x)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * scale * np.abs(block).sum(axis=0).max()
+        assert np.allclose(op.matmat(x)[:, 2], op.matvec(x[:, 2]), rtol=1e-13, atol=1e-13 * scale)
+
+
+def test_block_products_reject_misshapen_blocks(rng):
+    obs = random_observed(rng, 8, 6, 0.4)
+    op = assemble_iterate_operator(obs, random_factored(rng, 8, 6, 2))
+    for bad in (np.ones(6), np.ones((8, 2)), np.ones((6, 2, 1))):
+        with pytest.raises(ValueError, match="expected a block of 6 rows"):
+            op.matmat(bad)
+    with pytest.raises(ValueError, match="expected a block of 8 rows"):
+        op.rmatmat(np.ones((6, 2)))
 
 
 def test_columnwise_assembly_matches_dense(rng):

@@ -16,6 +16,7 @@ from matcomplete import (
     SolverConfig,
     fpc,
     frsi,
+    gen_synthetic,
     phase_one,
     phase_two,
     scale,
@@ -23,6 +24,8 @@ from matcomplete import (
     svt,
     two_phase,
 )
+
+from matcomplete import svd
 
 from conftest import random_factored
 
@@ -128,3 +131,32 @@ def test_overflowing_data_norm_asks_for_a_rescale(name, seed, m, n, r, exponent)
     scaled = ObservedMatrix(m, n, obs.rows, obs.cols, 10.0 ** exponent * obs.values)
     with pytest.raises(ValueError, match="rescale"):
         SOLVERS[name](scaled, r, 10.0 ** exponent)
+
+
+def test_two_phase_on_the_block_path_follows_permutations_and_the_transpose(monkeypatch):
+    # a solve whose phase one accepts warm block steps: CholeskyQR reads a
+    # block only through its Gram matrix, and its block follows the data, so
+    # the permuted and transposed solves take the same steps
+    accepted = []
+    block_svd = svd._block_svd
+
+    def recording(*args):
+        f = block_svd(*args)
+        accepted.append(f is not None)
+        return f
+
+    monkeypatch.setattr(svd, "_block_svd", recording)
+    obs = gen_synthetic(60, 3, 0.4, seed=4).obs
+    solve = SOLVERS["two_phase"]
+    ref = solve(obs, 3, 1.0)
+    assert any(accepted)
+    expected = ref.x.dense()
+    pr, pc = np.random.default_rng(4).permutation(60), np.random.default_rng(5).permutation(60)
+    for data, expect in (
+            (ObservedMatrix(60, 60, np.argsort(pr)[obs.rows], obs.cols, obs.values), expected[pr]),
+            (ObservedMatrix(60, 60, obs.rows, np.argsort(pc)[obs.cols], obs.values), expected[:, pc]),
+            (ObservedMatrix(60, 60, obs.cols, obs.rows, obs.values), expected.T)):
+        accepted.clear()
+        got = solve(data, 3, 1.0)
+        assert any(accepted)
+        assert_same_solve(got, ref, got.x.dense(), expect, PERMUTE_TOL)

@@ -11,9 +11,8 @@ counts are still compared.
 
 svt's row-centered instance exhausts its budget in both runs; its dual sums
 every pass's SVD error without contracting it, so there only the count and
-the status are compared.  fpc runs at the stop level of frsi and svt; at its
-default ``eps_3 = 1e-3`` its first weight can take one pass more than the
-reference's (see the strict xfail below).  two_phase is checked end to end
+the status are compared.  fpc runs at the stop level of frsi and svt, and at
+its default ``eps_3 = 1e-3`` on one instance.  two_phase is checked end to end
 for its phase split, iterations and status; its phase one's ``rho`` to the
 resolution of its own stop test, ``eps_rho`` times the anchor; and its phase
 two against the reference's phase two run from the solver's own ``(rho,
@@ -87,11 +86,11 @@ def test_solver_follows_its_dense_reference(scheme, instance):
         assert relative_gap(got.x, ref.x) <= bound
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "fpc's first weight is the data's sigma_1 as a Lanczos value at tol 1e-3, "
-    "below the exact one; its first pass then leaves a rank-1 iterate of norm "
-    "1.4e-3 where the reference's stays zero, above eps_3, so one more pass follows"))
 def test_fpc_at_its_default_eps_follows_its_dense_reference():
+    # fpc's first weight, the data's sigma_1, is read at DEFAULT_TOL: at the
+    # rule's 1e-3 it lay below the exact value, the first pass left a rank-1
+    # iterate of norm 1.4e-3 where the reference's stays zero, and one more
+    # pass followed
     obs = INSTANCES["square-seed3"]()
     got, ref = fpc(obs), reference.fpc(obs, 1e-3)
     assert (got.iterations, got.status) == (ref.iterations, ref.status)

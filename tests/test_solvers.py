@@ -32,7 +32,7 @@ from matcomplete import (
     two_phase,
 )
 from matcomplete import factored, shrinkage, solvers
-from matcomplete.operators import assemble_iterate_operator
+from matcomplete.operators import SpLrOperator, assemble_iterate_operator
 from matcomplete.solvers import _Progress
 from matcomplete.svd import DEFAULT_TOL, LanczosStart
 
@@ -482,7 +482,9 @@ def assert_one_svd_rule(calls, data, tols):
     data-derived start's side; the first from that start itself, each later
     one, bit for bit, from the call before it: that call's factor on the
     run's side summed, divided by its largest magnitude and normalized, plus
-    0.01 times the normalized data start."""
+    0.01 times the normalized data start.  The one call outside the rule's
+    tolerances is fpc's lambda0 call, at DEFAULT_TOL, which the caller puts
+    into ``tols``."""
     cold = LanczosStart.from_data(data)
     iterations = [list(group) for _, group in itertools.groupby(calls, key=lambda c: id(c[2]))]
     assert len(iterations) == len(tols)
@@ -521,8 +523,9 @@ def test_solver_svds_run_at_their_stop_accuracy_from_the_data_start(svd_calls, n
         tols = rule_tols(records, eps)
         assert [record.svd_tol for record in records] == tols
         if name == "fpc":
-            # its lambda0 SVD comes before any step, at the first one's tolerance
-            tols = tols[:1] + tols
+            # its lambda0 SVD comes before any step, at DEFAULT_TOL: the one
+            # exception to the rule
+            tols = [DEFAULT_TOL] + tols
         sides.add(assert_one_svd_rule(svd_calls, data, tols).transposed)
     assert sides == {False, True}
 
@@ -544,6 +547,39 @@ def test_two_phase_svds_restart_cold_at_each_phase(svd_calls):
     assert len(set(tols_1)) > 1 and len(set(tols_2)) > 1
     assert_one_svd_rule(svd_calls[:p1], inst.obs, tols_1)
     assert_one_svd_rule(svd_calls[p1:], inst.obs, tols_2)
+
+
+@pytest.fixture
+def block_products(monkeypatch):
+    """Counts the block products of every fill-in operator."""
+    counts = []
+    for name in ("matmat", "rmatmat"):
+        original = getattr(SpLrOperator, name)
+
+        def counting(self, x, _original=original):
+            counts.append(x.shape[1])
+            return _original(self, x)
+
+        monkeypatch.setattr(SpLrOperator, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["phase_one", "frsi", "svt", "fpc", "phase_two", "soft_impute"])
+def test_only_the_fixed_rank_loops_take_the_block_step(svd_calls, block_products, name):
+    # phase_one and frsi hand each SVD the previous one's factor as a block
+    # once the last change ratio is at most 0.1; the shrinkage loops, whose
+    # rank moves, never do
+    obs = gen_synthetic(60, 3, 0.4, seed=4).obs
+    records = STOP_LEVEL_SOLVES[name](obs, 1e-4).trace.records
+    blocks = [kwargs["start"].block is not None for kwargs, _, _ in svd_calls]
+    if name in ("phase_one", "frsi"):
+        # the SVD after each step reads that step's change ratio
+        assert blocks == [False] + [r.rel_change <= 0.1 for r in records[:len(blocks) - 1]]
+        assert any(blocks) and block_products
+        # each block is the previous factor, 4 columns, plus 3 data columns
+        assert set(block_products) == {7}
+    else:
+        assert not any(blocks) and block_products == []
 
 
 @pytest.mark.parametrize("solve", [

@@ -134,7 +134,7 @@ def test_full_decomposition_is_exact_at_every_rank(m, n, transposed, last_vector
 def test_budget_exhaustion_carries_best(rng):
     op = splr_op(rng, 60, 70, 3, 0.25)
     with pytest.raises(TruncatedSvdError) as info:
-        truncated_svd(op, 5, tol=1e-10, max_steps=3)
+        truncated_svd(op, 5, tol=1e-10, max_steps=5)
     err = info.value
     assert isinstance(err.best, FactoredMatrix)
     assert err.best.k == 5
@@ -160,6 +160,12 @@ def test_argument_validation(rng):
     for max_steps in (2.5, True, np.nan):
         with pytest.raises(ValueError, match="max_steps must be an integer"):
             truncated_svd(op, 2, max_steps=max_steps)
+    # a run checks its triplets only after k steps, so a smaller budget can
+    # never succeed; it is refused before any product
+    counting = _CountingOperator(splr_op(rng, 40, 30, 2, 0.4))
+    with pytest.raises(ValueError, match=r"max_steps \(2\) must be at least k \(6\)"):
+        truncated_svd(counting, 6, max_steps=2)
+    assert counting.steps == 0
 
 
 def test_repeat_calls_are_bitwise_identical(rng):
@@ -595,3 +601,126 @@ def test_data_start_finds_repeated_singular_values(b, tol):
     f = truncated_svd(op, 6, tol=tol, start=LanczosStart.from_data(obs))
     oracle = dense_svd(a)
     assert np.abs(f.sigma - oracle.sigma[:6]).max() <= tol * oracle.sigma[0]
+
+
+# --- warm block step ---
+
+
+class _ProductCounter:
+    """Counts the single and the block products a call makes on ``op``."""
+
+    def __init__(self, op):
+        self.op, self.shape = op, op.shape
+        self.vector_products = self.block_products = 0
+
+    def matvec(self, x):
+        self.vector_products += 1
+        return self.op.matvec(x)
+
+    def rmatvec(self, y):
+        self.vector_products += 1
+        return self.op.rmatvec(y)
+
+    def matmat(self, x):
+        self.block_products += 1
+        return self.op.matmat(x)
+
+    def rmatmat(self, y):
+        self.block_products += 1
+        return self.op.rmatmat(y)
+
+
+def noisy_low_rank(rng, m, n, rank=5, noise=0.05):
+    """A fully observed rank-``rank`` matrix (values 10 to 20) plus Gaussian
+    noise, its fill-in operator at zero, and the leading ``rank`` triplets
+    of a copy moved by 1e-4 of noise: the previous SVD a warm block starts
+    from."""
+    signal = random_factored(rng, m, n, rank)
+    a = signal.u @ np.diag(np.linspace(20.0, 10.0, rank)) @ signal.v.T
+    a = a + noise * rng.standard_normal((m, n))
+    obs = full_observed(a)
+    near = dense_svd(a + 1e-4 * rng.standard_normal((m, n)))
+    previous = FactoredMatrix(near.u[:, :rank], near.sigma[:rank], near.v[:, :rank])
+    return obs, assemble_iterate_operator(obs, FactoredMatrix.zero(m, n)), previous
+
+
+def assert_svd_contract(f, a, k, tol, last_vector=True):
+    """The leading ``k`` triplets of the dense ``a`` under truncated_svd's
+    contract: each residual within ``tol sigma_1`` (the k-th only as a value
+    without ``last_vector``), factors orthonormal to 1e-12."""
+    oracle = dense_svd(a)
+    bound = tol * oracle.sigma[0]
+    f.validate(1e-12)
+    assert f.k == k
+    assert np.abs(f.sigma - oracle.sigma[:k]).max() <= bound
+    checked = k if last_vector else k - 1
+    res_u = np.linalg.norm(a @ f.v - f.u * f.sigma, axis=0)[:checked]
+    res_v = np.linalg.norm(a.T @ f.u - f.v * f.sigma, axis=0)[:checked]
+    assert res_u.max(initial=0.0) <= bound and res_v.max(initial=0.0) <= bound
+
+
+@pytest.mark.parametrize("last_vector", [True, False])
+@pytest.mark.parametrize("m, n", [(70, 50), (50, 70)])
+def test_block_start_meets_the_contract_in_block_products(rng, m, n, last_vector):
+    # started from a close SVD's factor, the block step answers on its own
+    # (3 or 5 block products, no Lanczos step), on either side
+    obs, op, previous = noisy_low_rank(rng, m, n)
+    cold = LanczosStart.from_data(obs)
+    start = cold.warm(previous, block=True)
+    assert start.block.shape == (m if cold.transposed else n, 8)
+    counter = _ProductCounter(op)
+    f = truncated_svd(counter, 5, tol=1e-8, start=start, last_vector=last_vector)
+    assert counter.vector_products == 0 and counter.block_products in (3, 5)
+    assert_svd_contract(f, obs.dense(), 5, 1e-8, last_vector)
+
+
+def test_block_start_carries_the_factor_and_three_data_columns(rng):
+    _, _, previous = noisy_low_rank(rng, 30, 20)
+    vector = rng.standard_normal(20)
+    start = LanczosStart(vector, False).warm(previous, block=True)
+    c = vector / np.abs(vector).max()
+    assert np.array_equal(start.block, np.column_stack((previous.v, c, c * c, c * c * c)))
+    assert np.array_equal(start.vector, LanczosStart(vector, False).warm(previous).vector)
+    assert not start.block.flags.writeable
+
+
+@pytest.mark.parametrize("case", ["orthogonal-to-the-top", "rank-deficient"])
+def test_block_start_falls_back_to_lanczos(rng, case):
+    # a block that misses the top subspace, or whose columns repeat, is not
+    # accepted: the call runs Lanczos and still meets the contract
+    obs, op, previous = noisy_low_rank(rng, 60, 40)
+    cold = LanczosStart.from_data(obs)
+    if case == "orthogonal-to-the-top":
+        # the data's 6th to 10th triplets, plus the data columns
+        full = dense_svd(obs.dense())
+        wrong = FactoredMatrix(full.u[:, 5:10], full.sigma[5:10], full.v[:, 5:10])
+        start = cold.warm(wrong, block=True)
+    else:
+        factor = previous.u if cold.transposed else previous.v
+        start = LanczosStart(cold.vector, cold.transposed, np.hstack((factor, factor)))
+    counter = _ProductCounter(op)
+    f = truncated_svd(counter, 5, tol=1e-8, start=start)
+    assert counter.vector_products > 0
+    assert_svd_contract(f, obs.dense(), 5, 1e-8)
+
+
+def test_block_calls_repeat_bit_for_bit(rng):
+    obs, op, previous = noisy_low_rank(rng, 50, 70)
+    for transposed in (False, True):
+        vector = rng.standard_normal(50 if transposed else 70)
+        runs = [truncated_svd(op, 5, tol=1e-8,
+                              start=LanczosStart(vector.copy(), transposed).warm(previous, block=True))
+                for _ in range(2)]
+        # the factors come back the right way round on either side
+        assert (runs[0].u.shape, runs[0].v.shape) == ((50, 5), (70, 5))
+        assert_svd_contract(runs[0], obs.dense(), 5, 1e-8)
+        for a, b in zip((runs[0].u, runs[0].sigma, runs[0].v), (runs[1].u, runs[1].sigma, runs[1].v)):
+            assert np.array_equal(a, b)
+
+
+def test_bad_block_rejected():
+    for block, message in ((np.ones((9, 2)), "start block must have 10 rows"),
+                           (np.ones(10), "start block must have 10 rows"),
+                           (np.full((10, 2), np.nan), "start block must be finite")):
+        with pytest.raises(ValueError, match=message):
+            LanczosStart(np.ones(10), False, block)
