@@ -5,14 +5,15 @@ Gram-Schmidt reorthogonalization at every step, its second pass run only when
 the first one needs it (the DGKS criterion), and thick restarting that
 retains the leading Ritz triplets plus the coupling vector.  A start that
 carries a block of vectors first tries a warm block step (subspace iteration
-with a Rayleigh-Ritz step) before any Lanczos step.  The driver only touches
+with a Rayleigh-Ritz step, which may end in a deflated single-triplet Lanczos
+run for its last triplet) before any Lanczos step.  The driver only touches
 the operator through ``matvec``/``rmatvec`` and, for a block, ``matmat``/
 ``rmatmat``, so sparse-plus-low-rank iterates are never densified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,12 +105,16 @@ class LanczosStart:
     ``block``, when given, is a 2-d array of vectors on the same side, one
     per column, from which :func:`truncated_svd` tries a warm block step
     before it runs Lanczos from ``vector``; ``cold.warm(f, block=True)``
-    builds it.  It is checked, and kept read-only, like ``vector``.
+    builds it.  It is checked, and a read-only copy kept, like ``vector``.
+    ``finish`` is set only on the starts :meth:`predicted` builds: a block
+    pass from them whose triplets all but the k-th meet the contract ends in
+    a deflated finish for the k-th instead of another power step.
     """
 
     vector: np.ndarray
     transposed: bool
     block: np.ndarray | None = None
+    finish: bool = field(default=False, init=False)
 
     def __post_init__(self):
         vector = np.array(self.vector, dtype=np.float64)
@@ -125,7 +130,7 @@ class LanczosStart:
         vector.setflags(write=False)
         object.__setattr__(self, "vector", vector)
         if self.block is not None:
-            block = np.asarray(self.block, dtype=np.float64).view()
+            block = np.array(self.block, dtype=np.float64)
             if block.ndim != 2 or block.shape[0] != vector.size:
                 raise ValueError(f"start block must have {vector.size} rows, "
                                  f"got shape {block.shape}")
@@ -194,6 +199,32 @@ class LanczosStart:
             return LanczosStart(vector, self.transposed)
         c = self.vector / np.abs(self.vector).max()
         return LanczosStart(vector, self.transposed, np.column_stack((factor, c, c * c, c * c * c)))
+
+    def predicted(self, f: FactoredMatrix, before: FactoredMatrix | None,
+                  weight: float) -> "LanczosStart":
+        """``warm(f, block=True)`` with the block's leading columns predicted,
+        and ``finish`` set.
+
+        With ``V`` the first ``k - 1`` columns of ``f``'s factor on this
+        start's side (its converged ones, k being ``f``'s column count) and
+        ``V'`` those of ``before``, the result of the run before ``f``, the
+        block's first ``k - 1`` columns are ``V + weight (V - V' (V'^T V))``:
+        ``V`` moved on along the part of its last move that left ``V'``'s
+        span.  They stay ``V`` when ``before`` is None or has fewer than
+        ``k`` columns, as ``V'`` would then hold its value-only column.  The
+        k-th column, ``c, c^2, c^3`` and the vector are ``warm``'s.
+        """
+        start = self.warm(f, block=True)
+        lead = f.k - 1
+        block = start.block
+        if lead and before is not None and before.k >= f.k:
+            block = block.copy()
+            v = block[:, :lead]
+            prev = (before.u if self.transposed else before.v)[:, :lead]
+            v += weight * (v - prev @ (prev.T @ v))
+        start = LanczosStart(start.vector, self.transposed, block)
+        object.__setattr__(start, "finish", True)
+        return start
 
 
 class _Transposed:
@@ -307,7 +338,7 @@ def _cholesky_qr(y):
     return y @ np.linalg.inv(l).T, l
 
 
-def _block_svd(op, block, k, tol, last_vector):
+def _block_svd(op, block, k, tol, last_vector, finish):
     """The warm block step: the leading ``k`` triplets when they meet
     :func:`truncated_svd`'s contract, else None.
 
@@ -316,7 +347,9 @@ def _block_svd(op, block, k, tol, last_vector):
     l``, whose SVD ``P Sigma G^T`` gives ``U = Q_u P`` and ``V = Q_v' G``.
     ``A^T U - V Sigma`` is zero by construction, so ``||W g_i - sigma_i
     u_i||`` is each triplet's whole residual.  A pass that fails the
-    contract is followed by one more power step from ``W``.
+    contract is followed by one more power step from ``W``; with ``finish``,
+    a pass that fails it only in the k-th triplet ends in
+    :func:`_deflated_finish` instead.
     """
     qr = _cholesky_qr(block)
     if qr is None:
@@ -335,12 +368,77 @@ def _block_svd(op, block, k, tol, last_vector):
         p, s, gt = np.linalg.svd(l)
         u = qu @ p[:, :k]
         residuals = np.linalg.norm(y @ gt[:k].T - u * s[:k], axis=0)
-        if _converged(s, residuals, k, tol, last_vector).all():
-            v = qv @ gt[:k].T
-            if not (_orthonormal(u) and _orthonormal(v)):
-                return None
-            return FactoredMatrix(u, s[:k], v)
+        converged = _converged(s, residuals, k, tol, last_vector)
+        if converged.all():
+            return _orthonormal_result(u, s[:k], qv @ gt[:k].T)
+        if finish and converged[:k - 1].all():
+            return _deflated_finish(op, u, s, qv @ gt[:k].T, tol)
     return None
+
+
+class _Deflated:
+    """``(I - U U^T) A (I - V V^T)`` for orthonormal ``U`` and ``V``: the
+    operator with the accepted triplets' spans projected out on both sides,
+    whose leading triplet is the next one of ``A``."""
+
+    def __init__(self, op, u, v):
+        self.shape = op.shape
+        self._op, self._u, self._v = op, u, v
+
+    def matvec(self, x):
+        y = self._op.matvec(x - self._v @ (self._v.T @ x))
+        return y - self._u @ (self._u.T @ y)
+
+    def rmatvec(self, y):
+        x = self._op.rmatvec(y - self._u @ (self._u.T @ y))
+        return x - self._v @ (self._v.T @ x)
+
+
+def _deflated_finish(op, u, s, v, tol):
+    """The k-th triplet from a single-triplet Lanczos run on the operator
+    deflated by the first ``k - 1`` Ritz pairs of ``u`` and ``v``, which met
+    the contract, or None; ``s`` holds the block's Ritz values.
+
+    The run starts from the k-th right Ritz vector at ``tol s_1 / s_k``,
+    which is ``tol s_1`` on the deflated operator's scale.  Its triplet is
+    accepted only when its value is at most ``s_{k-1}`` (a larger one is a
+    triplet the block missed), both its residuals on ``op`` itself, ``||A v
+    - sigma u||`` and ``||A^T u - sigma v||``, are within ``tol s_1``, and
+    both k-column factors are orthonormal to 1e-12.
+    """
+    k = u.shape[1]
+    bound = tol * s[0]
+    with np.errstate(over="ignore", divide="ignore"):
+        run_tol = bound / s[k - 1]
+    if not 0.0 < run_tol < np.inf:
+        return None
+    lead_u, lead_v = u[:, :k - 1], v[:, :k - 1]
+    try:
+        f = truncated_svd(_Deflated(op, lead_u, lead_v), 1, tol=run_tol,
+                          start=LanczosStart(v[:, k - 1], False))
+    except TruncatedSvdError:
+        return None
+    sigma = f.sigma[0]
+    if not (k == 1 or sigma <= s[k - 2]):
+        return None
+    # the recurrence amplifies the rounding a run leaves along the deflated
+    # directions, which its operator does not see (by 8x a step on a
+    # cluster), so they are taken out once more
+    last_u = f.u[:, 0] - lead_u @ (lead_u.T @ f.u[:, 0])
+    last_v = f.v[:, 0] - lead_v @ (lead_v.T @ f.v[:, 0])
+    last_u /= np.linalg.norm(last_u)
+    last_v /= np.linalg.norm(last_v)
+    if not (np.linalg.norm(op.matvec(last_v) - sigma * last_u) <= bound
+            and np.linalg.norm(op.rmatvec(last_u) - sigma * last_v) <= bound):
+        return None
+    return _orthonormal_result(np.column_stack((lead_u, last_u)), np.append(s[:k - 1], sigma),
+                               np.column_stack((lead_v, last_v)))
+
+
+def _orthonormal_result(u, sigma, v):
+    """``U diag(sigma) V^T`` when both factors' columns are orthonormal to
+    ``_ORTHONORMAL_TOL``, else None."""
+    return FactoredMatrix(u, sigma, v) if _orthonormal(u) and _orthonormal(v) else None
 
 
 def _orthonormal(q):
@@ -384,11 +482,17 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         CholeskyQR, and three block products and a Rayleigh-Ritz step follow,
         then, when the triplets do not yet meet the contract below, one more
         power step of two products.  Its result is returned when it meets the
-        contract.  Otherwise, or when a block turns out rank deficient, the
-        Lanczos run from ``start.vector`` follows.  A block confined to an
-        invariant subspace finds triplets only there; ``cold.warm(f,
-        block=True)`` adds three columns that reach what the cold start
-        reaches.
+        contract.  With ``start.finish`` a pass that meets it in all but the
+        k-th triplet is finished instead by a single-triplet Lanczos run on
+        the operator deflated by the other ``k - 1``, started from the k-th
+        Ritz vector, whose triplet is returned only when its value is at most
+        the (k-1)-th, both its residuals on the operator itself are within
+        ``tol * sigma_1`` and both factors are orthonormal to 1e-12.
+        Otherwise, or when a block turns out rank deficient, the Lanczos run
+        from ``start.vector`` follows, and returns what it returns without
+        a block.  A block confined to an invariant subspace finds triplets
+        only there; ``cold.warm(f, block=True)`` adds three columns that
+        reach what the cold start reaches.
     last_vector : bool
         With the default True every triplet meets the residual test.  With
         False only the first ``k - 1`` do; the k-th is accepted as soon as
@@ -422,7 +526,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     if start.vector.shape != (n,):
         raise ValueError(f"start must be a vector of length {n}, got shape {start.vector.shape}")
     if start.block is not None and k <= start.block.shape[1] <= p and hasattr(op, "matmat"):
-        f = _block_svd(op, start.block, k, tol, last_vector)
+        f = _block_svd(op, start.block, k, tol, last_vector, start.finish)
         if f is not None:
             return FactoredMatrix(f.v, f.sigma, f.u) if start.transposed else f
     keep = min(k + _RESTART_BUFFER, p)

@@ -133,30 +133,52 @@ def test_overflowing_data_norm_asks_for_a_rescale(name, seed, m, n, r, exponent)
         SOLVERS[name](scaled, r, 10.0 ** exponent)
 
 
-def test_two_phase_on_the_block_path_follows_permutations_and_the_transpose(monkeypatch):
-    # a solve whose phase one accepts warm block steps: CholeskyQR reads a
-    # block only through its Gram matrix, and its block follows the data, so
-    # the permuted and transposed solves take the same steps
-    accepted = []
-    block_svd = svd._block_svd
+@pytest.fixture
+def accepted(monkeypatch):
+    """Records whether each warm block step, and each deflated finish,
+    returned triplets."""
+    steps = {"_block_svd": [], "_deflated_finish": []}
+    for name, outcomes in steps.items():
+        original = getattr(svd, name)
 
-    def recording(*args):
-        f = block_svd(*args)
-        accepted.append(f is not None)
-        return f
+        def recording(*args, _original=original, _outcomes=outcomes):
+            f = _original(*args)
+            _outcomes.append(f is not None)
+            return f
 
-    monkeypatch.setattr(svd, "_block_svd", recording)
+        monkeypatch.setattr(svd, name, recording)
+    return steps
+
+
+def assert_symmetric_on_the_block_path(solve, accepted, kinds):
+    """``solve`` on a 60x60 instance and on its row-permuted, column-permuted
+    and transposed copies: each solve returns triplets from every step in
+    ``kinds`` at least once, and the solves agree to ``PERMUTE_TOL``."""
     obs = gen_synthetic(60, 3, 0.4, seed=4).obs
-    solve = SOLVERS["two_phase"]
     ref = solve(obs, 3, 1.0)
-    assert any(accepted)
+    assert all(any(accepted[kind]) for kind in kinds)
     expected = ref.x.dense()
     pr, pc = np.random.default_rng(4).permutation(60), np.random.default_rng(5).permutation(60)
     for data, expect in (
             (ObservedMatrix(60, 60, np.argsort(pr)[obs.rows], obs.cols, obs.values), expected[pr]),
             (ObservedMatrix(60, 60, obs.rows, np.argsort(pc)[obs.cols], obs.values), expected[:, pc]),
             (ObservedMatrix(60, 60, obs.cols, obs.rows, obs.values), expected.T)):
-        accepted.clear()
+        for outcomes in accepted.values():
+            outcomes.clear()
         got = solve(data, 3, 1.0)
-        assert any(accepted)
+        assert all(any(accepted[kind]) for kind in kinds)
         assert_same_solve(got, ref, got.x.dense(), expect, PERMUTE_TOL)
+
+
+def test_two_phase_on_the_block_path_follows_permutations_and_the_transpose(accepted):
+    # a solve whose phase one accepts warm block steps: CholeskyQR reads a
+    # block only through its Gram matrix, and its block follows the data, so
+    # the permuted and transposed solves take the same steps
+    assert_symmetric_on_the_block_path(SOLVERS["two_phase"], accepted, ["_block_svd"])
+
+
+def test_svt_on_the_block_path_follows_permutations_and_the_transpose(accepted):
+    # svt's predicted blocks and deflated finishes follow the data as well:
+    # the finish starts from a Ritz vector and deflates by Ritz pairs
+    assert_symmetric_on_the_block_path(SYMMETRIC_SOLVERS["svt"], accepted,
+                                       ["_block_svd", "_deflated_finish"])

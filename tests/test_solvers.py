@@ -564,22 +564,64 @@ def block_products(monkeypatch):
     return counts
 
 
+def calls_by_iteration(calls):
+    """``svd_calls`` grouped by iteration: the calls sharing one operator."""
+    return [list(group) for _, group in itertools.groupby(calls, key=lambda c: id(c[2]))]
+
+
 @pytest.mark.parametrize("name", ["phase_one", "frsi", "svt", "fpc", "phase_two", "soft_impute"])
 def test_only_the_fixed_rank_loops_take_the_block_step(svd_calls, block_products, name):
-    # phase_one and frsi hand each SVD the previous one's factor as a block
-    # once the last change ratio is at most 0.1; the shrinkage loops, whose
-    # rank moves, never do
+    # phase_one, frsi and svt hand each SVD the previous one's factor as a
+    # block once the last change ratio is at most 0.1; phase two,
+    # soft_impute and fpc, whose rank moves with a weight, never do
     obs = gen_synthetic(60, 3, 0.4, seed=4).obs
     records = STOP_LEVEL_SOLVES[name](obs, 1e-4).trace.records
-    blocks = [kwargs["start"].block is not None for kwargs, _, _ in svd_calls]
-    if name in ("phase_one", "frsi"):
-        # the SVD after each step reads that step's change ratio
-        assert blocks == [False] + [r.rel_change <= 0.1 for r in records[:len(blocks) - 1]]
-        assert any(blocks) and block_products
-        # each block is the previous factor, 4 columns, plus 3 data columns
-        assert set(block_products) == {7}
+    blocks = [[kwargs["start"].block is not None for kwargs, _, _ in group]
+              for group in calls_by_iteration(svd_calls)]
+    if name in ("phase_one", "frsi", "svt"):
+        # each SVD of an iteration, svt's regrowth calls included, reads the
+        # change ratio of the step before it
+        assert blocks == [[False] * len(blocks[0])] + [
+            [r.rel_change <= 0.1] * len(group) for r, group in zip(records, blocks[1:])]
+        assert block_products
+        if name != "svt":
+            # each block is the previous factor, 4 columns, plus 3 data columns
+            assert set(block_products) == {7}
     else:
-        assert not any(blocks) and block_products == []
+        assert not any(map(any, blocks)) and block_products == []
+
+
+@pytest.mark.parametrize("name", ["phase_one", "frsi", "svt"])
+def test_block_starts_predict_and_finish_outside_phase_one(svd_calls, name):
+    # frsi's and svt's blocks move the previous factor's leading columns on
+    # by min(1, d / d') of their last move and ask for the deflated finish;
+    # phase one's block stays the plain factor, since its exit SVD becomes
+    # phase two's first iterate
+    obs = gen_synthetic(60, 3, 0.4, seed=4).obs
+    records = STOP_LEVEL_SOLVES[name](obs, 1e-4).trace.records
+    cold = LanczosStart.from_data(obs)
+    # the change ratios d' and d that each iteration's calls read, and the
+    # results before and before that of each call
+    changes = [math.nan, math.nan] + [r.rel_change for r in records]
+    iteration = [i for i, group in enumerate(calls_by_iteration(svd_calls)) for _ in group]
+    results = [None, None] + [f for _, f, _ in svd_calls]
+    blocks = predicted = 0
+    for call, (kwargs, _, _) in enumerate(svd_calls):
+        start = kwargs["start"]
+        if start.block is None:
+            continue
+        blocks += 1
+        d_before, d = changes[iteration[call]:iteration[call] + 2]
+        before, previous = results[call:call + 2]
+        plain = cold.warm(previous, block=True)
+        if name == "phase_one":
+            assert np.array_equal(start.block, plain.block) and not start.finish
+            continue
+        weight = min(1.0, d / d_before) if math.isfinite(d_before) and d_before > 0 else 1.0
+        expected = cold.predicted(previous, before, weight)
+        assert np.array_equal(start.block, expected.block) and start.finish
+        predicted += not np.array_equal(start.block, plain.block)
+    assert blocks and (predicted > 0) == (name != "phase_one")
 
 
 @pytest.mark.parametrize("solve", [

@@ -724,3 +724,134 @@ def test_bad_block_rejected():
                            (np.full((10, 2), np.nan), "start block must be finite")):
         with pytest.raises(ValueError, match=message):
             LanczosStart(np.ones(10), False, block)
+
+
+def test_start_block_is_a_copy():
+    # a later write to the caller's array leaves the start as it was built
+    block = np.ones((5, 2))
+    start = LanczosStart(np.ones(5), False, block)
+    block[0, 0] = 7.0
+    assert start.block[0, 0] == 1.0
+    assert not start.block.flags.writeable
+
+
+# --- predicted block and deflated finish ---
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_predicted_block_moves_the_leading_columns_on(rng, transposed):
+    # the first k - 1 factor columns go on along their last move, weighted;
+    # the k-th column, the data columns and the vector are warm()'s
+    _, _, previous = noisy_low_rank(rng, 30, 20)
+    _, _, before = noisy_low_rank(rng, 30, 20)
+    cold = LanczosStart(rng.standard_normal(30 if transposed else 20), transposed)
+    plain = cold.warm(previous, block=True)
+    start = cold.predicted(previous, before, 0.4)
+    v = (previous.u if transposed else previous.v)[:, :4]
+    w = (before.u if transposed else before.v)[:, :4]
+    # to rounding: the products may run on other memory layouts
+    assert np.abs(start.block[:, :4] - (v + 0.4 * (v - w @ (w.T @ v)))).max() <= 1e-15
+    assert not np.array_equal(start.block[:, :4], plain.block[:, :4])
+    assert np.array_equal(start.block[:, 4:], plain.block[:, 4:])
+    assert np.array_equal(start.vector, plain.vector)
+    assert start.finish and not plain.finish
+    # a result before with fewer columns than previous's, or none, leaves
+    # the plain factor
+    fewer = FactoredMatrix(before.u[:, :4], before.sigma[:4], before.v[:, :4])
+    for short in (fewer, None):
+        start = cold.predicted(previous, short, 0.4)
+        assert np.array_equal(start.block, plain.block) and start.finish
+
+
+def clustered_tail(rng, m, n, noise=1e-5):
+    """A fully observed matrix whose top four singular values (20 to 11)
+    stand apart and whose fifth heads a cluster of the rest (0.5 down to
+    0.3), its fill-in operator at zero, and the leading five triplets of a
+    copy moved by ``noise``: at 1e-5, one block pass from them meets the
+    contract at 1e-6 in the top four triplets, but not in the fifth."""
+    p = min(m, n)
+    basis = random_factored(rng, m, n, p)
+    sigma = np.concatenate(([20.0, 17.0, 14.0, 11.0], np.linspace(0.5, 0.3, p - 4)))
+    a = basis.u @ np.diag(sigma) @ basis.v.T
+    obs = full_observed(a)
+    near = dense_svd(a + noise * rng.standard_normal((m, n)))
+    previous = FactoredMatrix(near.u[:, :5], near.sigma[:5], near.v[:, :5])
+    return obs, assemble_iterate_operator(obs, FactoredMatrix.zero(m, n)), previous
+
+
+@pytest.fixture
+def finishes(monkeypatch):
+    """Records whether each deflated finish returned triplets."""
+    accepted = []
+    original = svd._deflated_finish
+
+    def recording(*args):
+        f = original(*args)
+        accepted.append(f is not None)
+        return f
+
+    monkeypatch.setattr(svd, "_deflated_finish", recording)
+    return accepted
+
+
+@pytest.mark.parametrize("tol, noise, passes", [(1e-6, 1e-5, 1), (1e-10, 1e-7, 2)])
+@pytest.mark.parametrize("m, n", [(60, 40), (40, 60)])
+def test_deflated_finish_meets_the_contract_on_a_clustered_tail(rng, finishes, m, n, tol,
+                                                                noise, passes):
+    # after the block passes only the 5th triplet misses: a single-triplet
+    # Lanczos run on the operator deflated by the top four finishes it, and
+    # the result meets the contract on the operator itself.  At 1e-10 the
+    # run takes about 15 steps, over which its recurrence amplifies the
+    # rounding along the deflated directions far past 1e-12: the finish
+    # takes it out again, so the factors stay orthonormal
+    obs, op, previous = clustered_tail(rng, m, n, noise)
+    cold = LanczosStart.from_data(obs)
+    counter = _ProductCounter(op)
+    f = truncated_svd(counter, 5, tol=tol, start=cold.predicted(previous, None, 1.0))
+    assert finishes == [True]
+    assert counter.block_products == 2 * passes + 1 and counter.vector_products > 0
+    assert_svd_contract(f, obs.dense(), 5, tol)
+    # without the finish the block step misses after its second pass too
+    counter = _ProductCounter(op)
+    truncated_svd(counter, 5, tol=tol, start=cold.warm(previous, block=True))
+    assert counter.block_products == 5 and finishes == [True]
+
+
+@pytest.mark.parametrize("spoil", ["value", "residual", "budget"])
+def test_failed_finish_returns_the_lanczos_result(rng, finishes, monkeypatch, spoil):
+    # a finish whose triplet fails a check, or whose run exhausts its budget,
+    # leaves the call to the Lanczos run from the start's vector, bit for bit
+    obs, op, previous = clustered_tail(rng, 60, 40)
+    start = LanczosStart.from_data(obs).predicted(previous, None, 1.0)
+    expected = truncated_svd(op, 5, tol=1e-6, start=LanczosStart(start.vector, start.transposed))
+    original = svd.truncated_svd
+
+    def spoiled(op, k, **kwargs):
+        f = original(op, k, **kwargs)
+        if not isinstance(op, svd._Deflated):
+            return f
+        if spoil == "budget":
+            raise TruncatedSvdError("spoiled", f, np.zeros(1, dtype=bool))
+        # above the 4th value, or off the 5th by 1e-3 of it
+        sigma = 100.0 if spoil == "value" else f.sigma[0] * (1.0 + 1e-3)
+        return FactoredMatrix(f.u, np.array([sigma]), f.v)
+
+    monkeypatch.setattr(svd, "truncated_svd", spoiled)
+    got = truncated_svd(op, 5, tol=1e-6, start=start)
+    assert finishes == [False]
+    for a, b in zip((got.u, got.sigma, got.v), (expected.u, expected.sigma, expected.v)):
+        assert np.array_equal(a, b)
+
+
+def test_block_calls_with_a_finish_repeat_bit_for_bit(rng, finishes):
+    obs, op, previous = clustered_tail(rng, 40, 60)
+    for transposed in (False, True):
+        vector = rng.standard_normal(40 if transposed else 60)
+        runs = [truncated_svd(op, 5, tol=1e-6,
+                              start=LanczosStart(vector.copy(), transposed).predicted(previous, None, 1.0))
+                for _ in range(2)]
+        assert (runs[0].u.shape, runs[0].v.shape) == ((40, 5), (60, 5))
+        assert_svd_contract(runs[0], obs.dense(), 5, 1e-6)
+        for a, b in zip((runs[0].u, runs[0].sigma, runs[0].v), (runs[1].u, runs[1].sigma, runs[1].v)):
+            assert np.array_equal(a, b)
+    assert finishes == [True] * 4
