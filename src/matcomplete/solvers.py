@@ -53,6 +53,10 @@ _SVD_TOL_CAP = 1e-3
 # two, soft_impute, fpc), the SVDs run Lanczos from the summed factor alone.
 _BLOCK_SETTLED = 0.1
 
+# phase one refines its exit SVD to this tolerance before handing it to phase
+# two as its first step: phase two's floor at the default eps_lambda
+_HANDOFF_TOL = 1e-8
+
 # svt has diverged once its iterate misfits the data by this many times the
 # data's own norm (the zero matrix misfits it by exactly once): the dual then
 # grows geometrically until it overflows.
@@ -212,11 +216,11 @@ class PhaseOneResult:
     """Warm-start output: momentum iterate, stabilized threshold, diagnostics.
 
     ``first_iterate`` is ``S_rho`` of the filled-in momentum iterate ``z``,
-    read off the SVD that the stop test has just computed: phase two's first
-    step at ``lam = rho`` from ``z``.  It is None when phase one did not
-    stabilize.  ``diverged`` is set when an SVD returned a non-finite value;
-    phase one then stopped at once, and ``x_last`` is the last finite
-    iterate.
+    read off the exit SVD once it is refined to ``_HANDOFF_TOL``: phase
+    two's first step at ``lam = rho`` from ``z``.  It is None when phase one
+    did not stabilize.  ``diverged`` is set when an SVD, the refine
+    included, returned a non-finite value; phase one then stopped at once,
+    and ``x_last`` is the last finite iterate.
     """
 
     z: FactoredMatrix
@@ -261,27 +265,21 @@ class _Progress:
     trace starts from that of the trace's last record, the SVD that
     produced phase two's handed-over first iterate.
 
-    With ``block`` (phase one, frsi and svt) the warm start also carries the
-    previous SVD's factor once ``d`` is at most ``_BLOCK_SETTLED``, and
+    With ``block`` (phase one, frsi and svt) the warm start also carries a
+    block once ``d`` is at most ``_BLOCK_SETTLED``, and
     :func:`truncated_svd` then tries its warm block step before Lanczos
-    from the same vector.  ``block="plain"`` (phase one) hands over the
-    factor as it is, ``cold.warm(f, block=True)``.  ``block="predicted"``
-    (frsi, svt) hands over ``cold.predicted(f, f', w)``: the factor's
-    converged columns moved on along their last move, away from ``f'``, the
-    SVD before ``f``, with weight ``w = min(1, d / d')`` (1 while ``d'`` is
-    not finite or zero), since between SVDs the subspace moves on much as
-    the iterate does; and a block pass that meets the contract in all but
-    the k-th triplet ends in a deflated Lanczos finish for that one.  On
-    svt, whose iterate and dual move on between passes and whose k-th value
-    sits at the edge of the noise, the plain factor answered only 3 of the
-    benchmark's 43 block calls (seed 0) in one pass.  Phase one keeps the plain block and no finish: its exit SVD
-    becomes phase two's first iterate, whose accuracy matters beyond the SVD
-    contract, and either addition moved that iterate further than phase
-    one's dense reference and the handoff allow.
+    from the same vector: ``cold.predicted(f, f', w)``, the previous
+    factor's converged columns moved on along their last move, away from
+    ``f'``, the SVD before ``f``, with weight ``w = min(1, d / d')`` (1 while
+    ``d'`` is not finite or zero), since between SVDs the subspace moves on
+    much as the iterate does.  A block pass that meets the contract in all
+    but the k-th triplet ends in a deflated Lanczos finish for that one.  A
+    call at a given ``tol`` refines the last SVD instead: its block is that
+    SVD's own factor, not moved on, ``cold.predicted(f, None, w)``.
     """
 
     def __init__(self, obs: ObservedMatrix, eps: float, trace: SolveTrace | None = None, *,
-                 block: str | None = None):
+                 block: bool = False):
         self.obs = obs
         self.obs_norm = _data_norm(obs)
         self.trace = trace if trace is not None else SolveTrace()
@@ -289,8 +287,8 @@ class _Progress:
         self._frozen_runs = 0
         self._cold = self._start = LanczosStart.from_data(obs)
         self._block = block
-        # the last SVD's result, kept only with block, and the one before,
-        # kept only for a predicted block: a few factor columns each
+        # the last SVD's result and the one before, kept only with block: a
+        # few factor columns each
         self._last = self._before = None
         self._floor = min(max(_SVD_ACCURACY * eps, DEFAULT_TOL), _SVD_TOL_MAX)
         self._cap = max(self._floor, min(eps, _SVD_TOL_CAP))
@@ -299,9 +297,10 @@ class _Progress:
 
     def svd(self, op, k: int, tol: float | None = None) -> FactoredMatrix | None:
         """The leading ``k`` triplets of ``op``, at the tolerance the progress
-        so far sets, or at ``tol`` when it is given.  The k-th is read as a
-        value only (``last_vector=False``), still within the tolerance: every
-        caller shrinks it to zero or reads only its value.  None when a value
+        so far sets, or at ``tol`` when it is given (with ``block``, from the
+        last SVD's unmoved factor).  The k-th is read as a value only
+        (``last_vector=False``), still within the tolerance: every caller
+        shrinks it to zero or reads only its value.  None when a value
         is not finite; the solver then stops as diverged, since its stop test
         would read the NaN, or an iterate that :func:`soft_threshold` shrank
         to zero by dropping it, and could pass."""
@@ -315,20 +314,16 @@ class _Progress:
         if tol is not None:
             self.tol = tol
         start = self._start
-        if self._last is not None and change <= _BLOCK_SETTLED:
-            if self._block == "predicted":
-                weight = 1.0 if math.isnan(ratio) else min(1.0, ratio)
-                start = self._cold.predicted(self._last, self._before, weight)
-            else:
-                start = self._cold.warm(self._last, block=True)
+        if self._last is not None and (tol is not None or change <= _BLOCK_SETTLED):
+            before = None if tol is not None else self._before
+            weight = 1.0 if math.isnan(ratio) else min(1.0, ratio)
+            start = self._cold.predicted(self._last, before, weight)
         f = truncated_svd(op, k, tol=self.tol, start=start, last_vector=False)
         if not np.isfinite(f.sigma).all():
             return None
         self._start = self._cold.warm(f)
-        if self._block == "predicted":
-            self._before = self._last
         if self._block:
-            self._last = f
+            self._before, self._last = self._last, f
         return f
 
     @property
@@ -480,12 +475,13 @@ def phase_one(
     The SVDs follow :class:`_Progress`'s rule at ``eps_rho``: the first two
     run at ``min(eps_rho, 1e-3)``, since the first step starts from zero,
     and later ones follow the iterate's change.  Once that change is at most
-    ``_BLOCK_SETTLED`` each SVD first tries a warm block step from the
-    previous one's factor.  The (r+1)-th triplet is read only as a value,
-    since ``rho`` feeds the stop test and the shrinkage that sends that
-    triplet to zero; at that cap its value is within a tenth of what the
-    stop test resolves, ``eps_rho`` times the anchor.  An SVD
-    with a non-finite value stops phase one at once, as ``diverged``.
+    ``_BLOCK_SETTLED`` each SVD first tries the warm block step from a
+    predicted block, with a deflated finish for the (r+1)-th triplet, as
+    frsi and svt do (see :class:`_Progress`).  The (r+1)-th triplet is read
+    only as a value, since ``rho`` feeds the stop test and the shrinkage
+    that sends that triplet to zero; at that cap its value is within a
+    tenth of what the stop test resolves, ``eps_rho`` times the anchor.  An
+    SVD with a non-finite value stops phase one at once, as ``diverged``.
     The momentum point reaches the SVD as the two iterates' factor pairs
     (:class:`FactoredSum`); it is refactored into one orthonormal
     factorization only at the exit, as the returned ``z``, and for the
@@ -493,16 +489,20 @@ def phase_one(
 
     Returns the last momentum iterate and stabilized rho, which seed the
     regularized second phase, plus the last thresholded iterate for callers
-    that stop here.  On stabilizing it also returns ``first_iterate``, the
-    exit SVD shrunk at rho: that SVD is of the matrix that phase two's first
-    step shrinks at ``lam = rho``, so :func:`phase_two` takes it as its first
-    iterate instead of computing the same SVD again.
+    that stop here.  On stabilizing it also returns ``first_iterate``: the
+    exit SVD is of the matrix that phase two's first step shrinks at ``lam =
+    rho``, so it is computed once more at ``_HANDOFF_TOL``, phase two's
+    floor, from a block of its own factor, and its top r triplets shrunk at
+    the unrefined rho are :func:`phase_two`'s first iterate.  Its refined
+    ``sigma_{r+1}`` is left out: it sits above rho by phase one's value
+    error, which the shrink would keep as an (r+1)-th column.  The exit
+    record carries the refine's tolerance.
     """
     check_counts(r=r, w=w)
     check_positive(eps_rho=eps_rho, beta=beta)
     m, n = obs.shape
     p = min(m, n)
-    progress = _Progress(obs, eps_rho, trace, block="plain")
+    progress = _Progress(obs, eps_rho, trace, block=True)
     x_prev = FactoredMatrix.zero(m, n)
     misfit_prev = obs.values
     op = SpLrOperator(obs, x_prev, misfit_prev)
@@ -522,13 +522,17 @@ def phase_one(
         sigma_top = float(f.sigma[0])
         if j == 1:
             anchor = max(sigma_top, anchor)
-        x_j = soft_threshold(f, rho)
         if math.isfinite(rho_prev) and abs(rho - rho_prev) / (anchor + rho_prev) < eps_rho:
+            g = progress.svd(op, f.k, tol=_HANDOFF_TOL)
+            if g is None:
+                diverged = True
+                break
             stabilized = True
-            first_iterate = x_j
+            first_iterate = soft_threshold(FactoredMatrix(g.u[:, :r], g.sigma[:r], g.v[:, :r]), rho)
             progress.trace.append(1, rho, math.nan, math.nan, math.nan, x_prev.rank,
                                   svd_tol=progress.tol)
             break
+        x_j = soft_threshold(f, rho)
         z = op.z
         del op  # frees its residual buffer before the gather allocates the next
         slack = math.nan
@@ -650,10 +654,9 @@ def two_phase(
     value to numerical zero (1e-12 times the leading one) the filled matrix
     has rank at most r and the last warm-start iterate is returned as
     converged.  Otherwise phase two's first iterate is the one phase one read
-    off its exit SVD (``PhaseOneResult.first_iterate``), so the solve makes
-    one SVD call fewer than it has iterations when phase one stabilizes.
-    When phase one diverged, so does the solve, with phase one's last finite
-    iterate.
+    off its refined exit SVD (``PhaseOneResult.first_iterate``), so phase
+    two's first iteration makes no SVD call of its own.  When phase one
+    diverged, so does the solve, with phase one's last finite iterate.
     """
     trace = SolveTrace()
     p1 = phase_one(obs, config.r, config.eps_rho, config.w, config.beta,
@@ -691,7 +694,7 @@ def frsi(
     """
     check_counts(r=r, it_max=it_max)
     check_positive(eps_1=eps_1)
-    progress = _Progress(obs, eps_1, block="predicted")
+    progress = _Progress(obs, eps_1, block=True)
     p = min(obs.shape)
     x = FactoredMatrix.zero(*obs.shape)
     misfit = obs.values
@@ -758,7 +761,7 @@ def svt(
         step = 1.2 * m * n / obs.nnz if obs.nnz else 1.99
     check_counts(it_max=it_max)
     check_positive(step=step, eps_2=eps_2)
-    progress = _Progress(obs, eps_2, block="predicted")
+    progress = _Progress(obs, eps_2, block=True)
     zero = FactoredMatrix.zero(m, n)
     y = np.zeros(obs.nnz)
     x = zero

@@ -13,7 +13,7 @@ the operator through ``matvec``/``rmatvec`` and, for a block, ``matmat``/
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,17 +104,13 @@ class LanczosStart:
 
     ``block``, when given, is a 2-d array of vectors on the same side, one
     per column, from which :func:`truncated_svd` tries a warm block step
-    before it runs Lanczos from ``vector``; ``cold.warm(f, block=True)``
+    before it runs Lanczos from ``vector``; ``cold.predicted(f, f', w)``
     builds it.  It is checked, and a read-only copy kept, like ``vector``.
-    ``finish`` is set only on the starts :meth:`predicted` builds: a block
-    pass from them whose triplets all but the k-th meet the contract ends in
-    a deflated finish for the k-th instead of another power step.
     """
 
     vector: np.ndarray
     transposed: bool
     block: np.ndarray | None = None
-    finish: bool = field(default=False, init=False)
 
     def __post_init__(self):
         vector = np.array(self.vector, dtype=np.float64)
@@ -173,7 +169,7 @@ class LanczosStart:
         vector /= np.linalg.norm(vector)
         return cls(vector, bool(transposed))
 
-    def warm(self, f: FactoredMatrix, block: bool = False) -> "LanczosStart":
+    def warm(self, f: FactoredMatrix) -> "LanczosStart":
         """The start of the run after the one that returned ``f``, on this
         start's side.
 
@@ -182,49 +178,40 @@ class LanczosStart:
         is ``s + 0.01 c/||c||``, with ``c`` this start's vector.  The mixed-in
         ``c`` keeps every direction of a cold start in the Krylov space, so
         the run meets the same ``tol`` wherever ``s`` lies.
-
-        With ``block`` the start also carries ``f``'s factor on that side
-        followed by ``c, c^2, c^3`` (elementwise), with ``c`` divided by its
-        largest magnitude: three columns that follow the data as ``c`` does
-        and reach the directions the factor misses.
         """
-        factor = f.u if self.transposed else f.v
-        s = factor.sum(axis=1)
+        s = (f.u if self.transposed else f.v).sum(axis=1)
         # divided by its largest magnitude, then normalized: the order fixes
         # the start's last bits, and so every warm-started solve's
         s = s / np.abs(s).max()
         s /= np.linalg.norm(s)
-        vector = s + _WARM_PERTURBATION * (self.vector / np.linalg.norm(self.vector))
-        if not block:
-            return LanczosStart(vector, self.transposed)
-        c = self.vector / np.abs(self.vector).max()
-        return LanczosStart(vector, self.transposed, np.column_stack((factor, c, c * c, c * c * c)))
+        return LanczosStart(s + _WARM_PERTURBATION * (self.vector / np.linalg.norm(self.vector)),
+                            self.transposed)
 
     def predicted(self, f: FactoredMatrix, before: FactoredMatrix | None,
                   weight: float) -> "LanczosStart":
-        """``warm(f, block=True)`` with the block's leading columns predicted,
-        and ``finish`` set.
+        """``warm(f)`` carrying a block: ``f``'s factor on this start's side,
+        its leading columns predicted, followed by ``c, c^2, c^3``.
 
-        With ``V`` the first ``k - 1`` columns of ``f``'s factor on this
-        start's side (its converged ones, k being ``f``'s column count) and
-        ``V'`` those of ``before``, the result of the run before ``f``, the
-        block's first ``k - 1`` columns are ``V + weight (V - V' (V'^T V))``:
-        ``V`` moved on along the part of its last move that left ``V'``'s
-        span.  They stay ``V`` when ``before`` is None or has fewer than
-        ``k`` columns, as ``V'`` would then hold its value-only column.  The
-        k-th column, ``c, c^2, c^3`` and the vector are ``warm``'s.
+        With ``V`` the first ``k - 1`` columns of the factor (its converged
+        ones, k being ``f``'s column count) and ``V'`` those of ``before``,
+        the result of the run before ``f``, the block's first ``k - 1``
+        columns are ``V + weight (V - V' (V'^T V))``: ``V`` moved on along
+        the part of its last move that left ``V'``'s span.  They stay ``V``
+        when ``before`` is None or has fewer than ``k`` columns, as ``V'``
+        would then hold its value-only column.  ``c`` is this start's vector
+        divided by its largest magnitude, taken elementwise to the powers
+        1-3: three columns that follow the data as ``c`` does and reach the
+        directions the factor misses.
         """
-        start = self.warm(f, block=True)
+        factor = f.u if self.transposed else f.v
+        c = self.vector / np.abs(self.vector).max()
+        block = np.column_stack((factor, c, c * c, c * c * c))
         lead = f.k - 1
-        block = start.block
         if lead and before is not None and before.k >= f.k:
-            block = block.copy()
             v = block[:, :lead]
             prev = (before.u if self.transposed else before.v)[:, :lead]
             v += weight * (v - prev @ (prev.T @ v))
-        start = LanczosStart(start.vector, self.transposed, block)
-        object.__setattr__(start, "finish", True)
-        return start
+        return LanczosStart(self.warm(f).vector, self.transposed, block)
 
 
 class _Transposed:
@@ -338,7 +325,7 @@ def _cholesky_qr(y):
     return y @ np.linalg.inv(l).T, l
 
 
-def _block_svd(op, block, k, tol, last_vector, finish):
+def _block_svd(op, block, k, tol, last_vector):
     """The warm block step: the leading ``k`` triplets when they meet
     :func:`truncated_svd`'s contract, else None.
 
@@ -347,9 +334,8 @@ def _block_svd(op, block, k, tol, last_vector, finish):
     l``, whose SVD ``P Sigma G^T`` gives ``U = Q_u P`` and ``V = Q_v' G``.
     ``A^T U - V Sigma`` is zero by construction, so ``||W g_i - sigma_i
     u_i||`` is each triplet's whole residual.  A pass that fails the
-    contract is followed by one more power step from ``W``; with ``finish``,
-    a pass that fails it only in the k-th triplet ends in
-    :func:`_deflated_finish` instead.
+    contract only in the k-th triplet ends in :func:`_deflated_finish`; one
+    that fails it earlier is followed by one more power step from ``W``.
     """
     qr = _cholesky_qr(block)
     if qr is None:
@@ -371,7 +357,7 @@ def _block_svd(op, block, k, tol, last_vector, finish):
         converged = _converged(s, residuals, k, tol, last_vector)
         if converged.all():
             return _orthonormal_result(u, s[:k], qv @ gt[:k].T)
-        if finish and converged[:k - 1].all():
+        if converged[:k - 1].all():
             return _deflated_finish(op, u, s, qv @ gt[:k].T, tol)
     return None
 
@@ -467,32 +453,31 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     start : LanczosStart, optional
         The run's start vector and side: a cold start derived from the data
         (:meth:`LanczosStart.from_data`), or a warm one from an earlier call
-        (:meth:`LanczosStart.warm`).  The run starts from its vector
-        normalized, and with ``start.transposed`` decomposes the transposed
-        operator, the vector having length ``m``; the factors come back the
-        right way round.  A start confined to an invariant subspace stays in
-        it; ``cold.warm(f)`` mixes the cold start back in, so every direction
-        stays in the Krylov space.  Without ``start`` the run starts from a
-        seeded Gaussian of length ``n``.  The result is deterministic either
-        way.
+        (:meth:`LanczosStart.warm`, or :meth:`LanczosStart.predicted` with a
+        block).  The run starts from its vector normalized, and with
+        ``start.transposed`` decomposes the transposed operator, the vector
+        having length ``m``; the factors come back the right way round.  A
+        start confined to an invariant subspace stays in it; ``cold.warm(f)``
+        mixes the cold start back in, so every direction stays in the Krylov
+        space.  Without ``start`` the run starts from a seeded Gaussian of
+        length ``n``.  The result is deterministic either way.
 
         A start that carries a ``block`` of at least ``k`` and at most
         ``min(m, n)`` columns first takes a warm block step on an operator
         with ``matmat`` and ``rmatmat``: the block is orthonormalized by
-        CholeskyQR, and three block products and a Rayleigh-Ritz step follow,
-        then, when the triplets do not yet meet the contract below, one more
-        power step of two products.  Its result is returned when it meets the
-        contract.  With ``start.finish`` a pass that meets it in all but the
-        k-th triplet is finished instead by a single-triplet Lanczos run on
-        the operator deflated by the other ``k - 1``, started from the k-th
-        Ritz vector, whose triplet is returned only when its value is at most
-        the (k-1)-th, both its residuals on the operator itself are within
-        ``tol * sigma_1`` and both factors are orthonormal to 1e-12.
-        Otherwise, or when a block turns out rank deficient, the Lanczos run
-        from ``start.vector`` follows, and returns what it returns without
-        a block.  A block confined to an invariant subspace finds triplets
-        only there; ``cold.warm(f, block=True)`` adds three columns that
-        reach what the cold start reaches.
+        CholeskyQR, and three block products and a Rayleigh-Ritz step follow.
+        A pass that meets the contract below in all but the k-th triplet is
+        finished by a single-triplet Lanczos run on the operator deflated by
+        the other ``k - 1``, started from the k-th Ritz vector, whose triplet
+        is returned only when its value is at most the (k-1)-th, both its
+        residuals on the operator itself are within ``tol * sigma_1`` and
+        both factors are orthonormal to 1e-12; a pass that misses earlier is
+        followed by one more power step of two products.  When neither pass
+        nor finish meets the contract, or a block turns out rank deficient,
+        the Lanczos run from ``start.vector`` follows, and returns what it
+        returns without a block.  A block confined to an invariant subspace
+        finds triplets only there; ``cold.predicted(f, f', w)`` adds three
+        columns that reach what the cold start reaches.
     last_vector : bool
         With the default True every triplet meets the residual test.  With
         False only the first ``k - 1`` do; the k-th is accepted as soon as
@@ -526,7 +511,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     if start.vector.shape != (n,):
         raise ValueError(f"start must be a vector of length {n}, got shape {start.vector.shape}")
     if start.block is not None and k <= start.block.shape[1] <= p and hasattr(op, "matmat"):
-        f = _block_svd(op, start.block, k, tol, last_vector, start.finish)
+        f = _block_svd(op, start.block, k, tol, last_vector)
         if f is not None:
             return FactoredMatrix(f.v, f.sigma, f.u) if start.transposed else f
     keep = min(k + _RESTART_BUFFER, p)

@@ -297,26 +297,33 @@ def svd_calls(monkeypatch):
 
 
 def test_two_phase_reuses_phase_one_exit_svd(svd_calls):
+    # phase one's p1 SVDs and the refine of its exit SVD, then phase two's
+    # p2 - 1: its first iteration makes none
     inst = gen_synthetic(80, 3, 0.3, seed=5)
     res = two_phase(inst.obs, SolverConfig(r=3, beta=5.0))
     p1, p2 = res.phase_split
     assert p1 >= 3 and p2 >= 2
-    assert len(svd_calls) == p1 + p2 - 1
+    assert len(svd_calls) == p1 + p2
 
 
 def test_phase_two_first_iterate_is_phase_one_exit_svd_shrunk(svd_calls):
     inst = gen_synthetic(60, 3, 0.4, seed=4)
     p1 = phase_one(inst.obs, 3, beta=5.0)
     assert p1.stabilized
+    # the exit SVD refined at _HANDOFF_TOL on its own operator, from a block
+    # of its own factor, not moved on
+    (_, exit_svd, exit_op), (kwargs, refined, op) = svd_calls[-2:]
+    assert op is exit_op and kwargs["tol"] == solvers._HANDOFF_TOL
+    cold = LanczosStart.from_data(inst.obs)
+    assert np.array_equal(kwargs["start"].block, cold.predicted(exit_svd, None, 1.0).block)
+    # its top r triplets shrunk at the unrefined rho
     first = p1.first_iterate
-    exit_shrunk = soft_threshold(svd_calls[-1][1], p1.rho)
-    assert np.array_equal(first.sigma, exit_shrunk.sigma)
-    assert np.array_equal(first.u, exit_shrunk.u)
-    assert np.array_equal(first.v, exit_shrunk.v)
+    top = soft_threshold(FactoredMatrix(refined.u[:, :3], refined.sigma[:3], refined.v[:, :3]),
+                         p1.rho)
+    assert np.array_equal(first.sigma, top.sigma)
+    assert np.array_equal(first.u, top.u)
+    assert np.array_equal(first.v, top.v)
     assert first.rank <= 3
-    # the step phase two would compute afresh: the filled-in z shrunk at rho
-    fresh = soft_threshold(truncated_svd(assemble_iterate_operator(inst.obs, p1.z), 4), p1.rho)
-    assert np.abs(first.dense() - fresh.dense()).max() <= 1e-9 * p1.sigma_top
     # phase two takes it as its first iterate, with no SVD of its own
     svd_calls.clear()
     res = phase_two(inst.obs, 3, p1.rho, p1.z, it_max=1, first_iterate=first)
@@ -325,6 +332,22 @@ def test_phase_two_first_iterate_is_phase_one_exit_svd_shrunk(svd_calls):
     record = res.trace.records[0]
     assert record.rank == first.rank
     assert record.rho == p1.rho
+
+
+@pytest.mark.parametrize("n, r, p", [(60, 3, 0.4), (80, 3, 0.3), (100, 4, 0.5), (200, 5, 0.5)])
+def test_phase_one_handoff_is_the_first_step_of_phase_two(n, r, p):
+    # what the handoff promises: the filled-in z's top r triplets shrunk at
+    # rho, here from a dense SVD.  A fresh truncated SVD would not do as the
+    # reference: its sigma_{r+1} sits above rho by phase one's value error,
+    # and the shrink keeps that excess as an (r+1)-th column
+    for seed in range(6):
+        inst = gen_synthetic(n, r, p, seed=seed)
+        p1 = phase_one(inst.obs, r, beta=5.0)
+        assert p1.stabilized
+        dense = dense_svd(assemble_iterate_operator(inst.obs, p1.z).dense())
+        step = soft_threshold(FactoredMatrix(dense.u[:, :r], dense.sigma[:r], dense.v[:, :r]),
+                              p1.rho)
+        assert np.abs(p1.first_iterate.dense() - step.dense()).max() <= 1e-9 * p1.sigma_top
 
 
 def test_phase_two_computes_its_first_svd_when_phase_one_exhausts_w(svd_calls):
@@ -521,7 +544,17 @@ def test_solver_svds_run_at_their_stop_accuracy_from_the_data_start(svd_calls, n
         records = STOP_LEVEL_SOLVES[name](data, eps).trace.records
         assert len(svd_calls) >= 3
         tols = rule_tols(records, eps)
-        assert [record.svd_tol for record in records] == tols
+        if name == "phase_one":
+            # its refine of the exit SVD, on the same operator at
+            # _HANDOFF_TOL and warm from it, is the one call outside the
+            # rule; the exit record carries its tolerance
+            (kwargs, _, op), (_, exit_svd, exit_op) = svd_calls.pop(), svd_calls[-1]
+            assert op is exit_op and kwargs["tol"] == solvers._HANDOFF_TOL
+            assert np.array_equal(kwargs["start"].vector,
+                                  LanczosStart.from_data(data).warm(exit_svd).vector)
+            assert records[-1].svd_tol == solvers._HANDOFF_TOL
+            records = records[:-1]
+        assert [record.svd_tol for record in records] == tols[:len(records)]
         if name == "fpc":
             # its lambda0 SVD comes before any step, at DEFAULT_TOL: the one
             # exception to the rule
@@ -531,22 +564,26 @@ def test_solver_svds_run_at_their_stop_accuracy_from_the_data_start(svd_calls, n
 
 
 def test_two_phase_svds_restart_cold_at_each_phase(svd_calls):
-    # phase one makes one SVD per iteration under the rule at eps_rho, phase
-    # two the rest at eps_lambda; each phase starts cold, then warm from its
-    # own previous SVD.  Phase two's first record is phase one's exit SVD
-    # shrunk, so it carries that SVD's tolerance.
+    # phase one makes one SVD per iteration under the rule at eps_rho, then
+    # refines its exit SVD at _HANDOFF_TOL; phase two makes the rest at
+    # eps_lambda.  Each phase starts cold, then warm from its own previous
+    # SVD.  Phase one's exit record and phase two's first, the refined exit
+    # SVD shrunk, carry the refine's tolerance.
     inst = gen_synthetic(80, 3, 0.3, seed=5)
     config = SolverConfig(r=3, beta=5.0, eps_rho=1e-5, eps_lambda=1e-7)
     res = two_phase(inst.obs, config)
     p1, p2 = res.phase_split
-    assert p1 >= 3 and len(svd_calls) - p1 >= p2 - 1 >= 2
+    (refine, _, _), phase_two_calls = svd_calls[p1], svd_calls[p1 + 1:]
+    assert p1 >= 3 and len(phase_two_calls) >= p2 - 1 >= 2
+    assert refine["tol"] == solvers._HANDOFF_TOL
     tols_1 = rule_tols(res.trace.records[:p1], config.eps_rho)
     tols_2 = rule_tols(res.trace.records[p1:], config.eps_lambda)[1:]
-    assert res.trace.column("svd_tol").tolist() == tols_1 + tols_1[-1:] + tols_2
+    handoff = [solvers._HANDOFF_TOL] * 2
+    assert res.trace.column("svd_tol").tolist() == tols_1[:-1] + handoff + tols_2
     # the rule moved: each phase ran at more than one tolerance
     assert len(set(tols_1)) > 1 and len(set(tols_2)) > 1
     assert_one_svd_rule(svd_calls[:p1], inst.obs, tols_1)
-    assert_one_svd_rule(svd_calls[p1:], inst.obs, tols_2)
+    assert_one_svd_rule(phase_two_calls, inst.obs, tols_2)
 
 
 @pytest.fixture
@@ -592,11 +629,10 @@ def test_only_the_fixed_rank_loops_take_the_block_step(svd_calls, block_products
 
 
 @pytest.mark.parametrize("name", ["phase_one", "frsi", "svt"])
-def test_block_starts_predict_and_finish_outside_phase_one(svd_calls, name):
-    # frsi's and svt's blocks move the previous factor's leading columns on
-    # by min(1, d / d') of their last move and ask for the deflated finish;
-    # phase one's block stays the plain factor, since its exit SVD becomes
-    # phase two's first iterate
+def test_fixed_rank_loops_take_the_predicted_block(svd_calls, name):
+    # each block moves the previous factor's leading columns on by min(1, d /
+    # d') of their last move; phase one's refine of its exit SVD, the one
+    # call at _HANDOFF_TOL, takes that SVD's own factor, not moved on
     obs = gen_synthetic(60, 3, 0.4, seed=4).obs
     records = STOP_LEVEL_SOLVES[name](obs, 1e-4).trace.records
     cold = LanczosStart.from_data(obs)
@@ -605,7 +641,7 @@ def test_block_starts_predict_and_finish_outside_phase_one(svd_calls, name):
     changes = [math.nan, math.nan] + [r.rel_change for r in records]
     iteration = [i for i, group in enumerate(calls_by_iteration(svd_calls)) for _ in group]
     results = [None, None] + [f for _, f, _ in svd_calls]
-    blocks = predicted = 0
+    blocks = predicted = refines = 0
     for call, (kwargs, _, _) in enumerate(svd_calls):
         start = kwargs["start"]
         if start.block is None:
@@ -613,15 +649,14 @@ def test_block_starts_predict_and_finish_outside_phase_one(svd_calls, name):
         blocks += 1
         d_before, d = changes[iteration[call]:iteration[call] + 2]
         before, previous = results[call:call + 2]
-        plain = cold.warm(previous, block=True)
-        if name == "phase_one":
-            assert np.array_equal(start.block, plain.block) and not start.finish
-            continue
+        if kwargs["tol"] == solvers._HANDOFF_TOL:
+            refines += 1
+            before = None
         weight = min(1.0, d / d_before) if math.isfinite(d_before) and d_before > 0 else 1.0
-        expected = cold.predicted(previous, before, weight)
-        assert np.array_equal(start.block, expected.block) and start.finish
-        predicted += not np.array_equal(start.block, plain.block)
-    assert blocks and (predicted > 0) == (name != "phase_one")
+        assert np.array_equal(start.block, cold.predicted(previous, before, weight).block)
+        predicted += not np.array_equal(start.block, cold.predicted(previous, None, 1.0).block)
+    assert blocks and predicted
+    assert refines == (name == "phase_one")
 
 
 @pytest.mark.parametrize("solve", [
@@ -890,8 +925,9 @@ def test_momentum_residual_matches_fresh_gather(checked_residuals):
     assert res.phase_split[0] >= 3 and res.phase_split[1] >= 2
     # operators at a momentum point carry a combined factorization of up to 2r columns
     assert max(checked_residuals) > 3
-    # phase two's first step is read off phase one's exit SVD
-    assert len(checked_residuals) == res.phase_split[0] + res.phase_split[1] - 1
+    # phase two's first step is read off phase one's exit SVD, refined on the
+    # exit operator
+    assert len(checked_residuals) == res.phase_split[0] + res.phase_split[1]
 
 
 @pytest.mark.parametrize("solve", [
@@ -1076,13 +1112,30 @@ def test_a_nan_in_phase_two_ends_two_phase_as_diverged(monkeypatch):
     obs = gen_synthetic(40, 2, 0.5, seed=1).obs
     ref = two_phase(obs, SolverConfig(r=2))
     assert ref.status == CONVERGED and ref.phase_split[1] >= 3
-    # phase one makes one SVD per iteration; phase two's first is the next call
-    calls = poison_svd(monkeypatch, lambda kwargs, i: i == ref.phase_split[0] + 1)
+    # phase one makes one SVD per iteration and refines the last; phase
+    # two's first is the call after that
+    calls = poison_svd(monkeypatch, lambda kwargs, i: i == ref.phase_split[0] + 2)
     res = two_phase(obs, SolverConfig(r=2))
     assert res.status == DIVERGED
     # phase two's first step is phase one's exit SVD, so its first SVD is its second step
     assert res.phase_split == (ref.phase_split[0], 1)
-    assert len(calls) == ref.phase_split[0] + 1
+    assert len(calls) == ref.phase_split[0] + 2
+
+
+def test_a_nan_in_the_handoff_ends_two_phase_as_diverged(monkeypatch):
+    # the refine of phase one's exit SVD is checked like every other SVD:
+    # phase one stops at once, with no record for its exit pass, and the
+    # solve returns phase one's last finite iterate
+    obs = gen_synthetic(40, 2, 0.5, seed=1).obs
+    ref = phase_one(obs, 2)
+    assert ref.stabilized
+    calls = poison_svd(monkeypatch, lambda kwargs, i: kwargs["tol"] == solvers._HANDOFF_TOL)
+    res = two_phase(obs, SolverConfig(r=2))
+    assert res.status == DIVERGED
+    assert len(calls) == ref.iterations + 1
+    assert res.phase_split == (ref.iterations - 1, 0) and len(res.trace) == res.iterations
+    for a, b in zip((res.x.u, res.x.sigma, res.x.v), (ref.x_last.u, ref.x_last.sigma, ref.x_last.v)):
+        assert np.array_equal(a, b)
 
 
 def test_a_nan_ends_phase_one_as_diverged(monkeypatch):

@@ -666,7 +666,7 @@ def test_block_start_meets_the_contract_in_block_products(rng, m, n, last_vector
     # (3 or 5 block products, no Lanczos step), on either side
     obs, op, previous = noisy_low_rank(rng, m, n)
     cold = LanczosStart.from_data(obs)
-    start = cold.warm(previous, block=True)
+    start = cold.predicted(previous, None, 1.0)
     assert start.block.shape == (m if cold.transposed else n, 8)
     counter = _ProductCounter(op)
     f = truncated_svd(counter, 5, tol=1e-8, start=start, last_vector=last_vector)
@@ -677,7 +677,7 @@ def test_block_start_meets_the_contract_in_block_products(rng, m, n, last_vector
 def test_block_start_carries_the_factor_and_three_data_columns(rng):
     _, _, previous = noisy_low_rank(rng, 30, 20)
     vector = rng.standard_normal(20)
-    start = LanczosStart(vector, False).warm(previous, block=True)
+    start = LanczosStart(vector, False).predicted(previous, None, 1.0)
     c = vector / np.abs(vector).max()
     assert np.array_equal(start.block, np.column_stack((previous.v, c, c * c, c * c * c)))
     assert np.array_equal(start.vector, LanczosStart(vector, False).warm(previous).vector)
@@ -694,7 +694,7 @@ def test_block_start_falls_back_to_lanczos(rng, case):
         # the data's 6th to 10th triplets, plus the data columns
         full = dense_svd(obs.dense())
         wrong = FactoredMatrix(full.u[:, 5:10], full.sigma[5:10], full.v[:, 5:10])
-        start = cold.warm(wrong, block=True)
+        start = cold.predicted(wrong, None, 1.0)
     else:
         factor = previous.u if cold.transposed else previous.v
         start = LanczosStart(cold.vector, cold.transposed, np.hstack((factor, factor)))
@@ -709,7 +709,7 @@ def test_block_calls_repeat_bit_for_bit(rng):
     for transposed in (False, True):
         vector = rng.standard_normal(50 if transposed else 70)
         runs = [truncated_svd(op, 5, tol=1e-8,
-                              start=LanczosStart(vector.copy(), transposed).warm(previous, block=True))
+                              start=LanczosStart(vector.copy(), transposed).predicted(previous, None, 1.0))
                 for _ in range(2)]
         # the factors come back the right way round on either side
         assert (runs[0].u.shape, runs[0].v.shape) == ((50, 5), (70, 5))
@@ -741,26 +741,25 @@ def test_start_block_is_a_copy():
 @pytest.mark.parametrize("transposed", [False, True])
 def test_predicted_block_moves_the_leading_columns_on(rng, transposed):
     # the first k - 1 factor columns go on along their last move, weighted;
-    # the k-th column, the data columns and the vector are warm()'s
+    # the k-th column and the data columns stay, and the vector is warm()'s
     _, _, previous = noisy_low_rank(rng, 30, 20)
     _, _, before = noisy_low_rank(rng, 30, 20)
     cold = LanczosStart(rng.standard_normal(30 if transposed else 20), transposed)
-    plain = cold.warm(previous, block=True)
+    c = cold.vector / np.abs(cold.vector).max()
+    plain = np.column_stack((previous.u if transposed else previous.v, c, c * c, c * c * c))
     start = cold.predicted(previous, before, 0.4)
-    v = (previous.u if transposed else previous.v)[:, :4]
+    v = plain[:, :4]
     w = (before.u if transposed else before.v)[:, :4]
     # to rounding: the products may run on other memory layouts
     assert np.abs(start.block[:, :4] - (v + 0.4 * (v - w @ (w.T @ v)))).max() <= 1e-15
-    assert not np.array_equal(start.block[:, :4], plain.block[:, :4])
-    assert np.array_equal(start.block[:, 4:], plain.block[:, 4:])
-    assert np.array_equal(start.vector, plain.vector)
-    assert start.finish and not plain.finish
+    assert not np.array_equal(start.block[:, :4], plain[:, :4])
+    assert np.array_equal(start.block[:, 4:], plain[:, 4:])
+    assert np.array_equal(start.vector, cold.warm(previous).vector)
     # a result before with fewer columns than previous's, or none, leaves
     # the plain factor
     fewer = FactoredMatrix(before.u[:, :4], before.sigma[:4], before.v[:, :4])
     for short in (fewer, None):
-        start = cold.predicted(previous, short, 0.4)
-        assert np.array_equal(start.block, plain.block) and start.finish
+        assert np.array_equal(cold.predicted(previous, short, 0.4).block, plain)
 
 
 def clustered_tail(rng, m, n, noise=1e-5):
@@ -811,10 +810,6 @@ def test_deflated_finish_meets_the_contract_on_a_clustered_tail(rng, finishes, m
     assert finishes == [True]
     assert counter.block_products == 2 * passes + 1 and counter.vector_products > 0
     assert_svd_contract(f, obs.dense(), 5, tol)
-    # without the finish the block step misses after its second pass too
-    counter = _ProductCounter(op)
-    truncated_svd(counter, 5, tol=tol, start=cold.warm(previous, block=True))
-    assert counter.block_products == 5 and finishes == [True]
 
 
 @pytest.mark.parametrize("spoil", ["value", "residual", "budget"])
@@ -837,8 +832,11 @@ def test_failed_finish_returns_the_lanczos_result(rng, finishes, monkeypatch, sp
         return FactoredMatrix(f.u, np.array([sigma]), f.v)
 
     monkeypatch.setattr(svd, "truncated_svd", spoiled)
-    got = truncated_svd(op, 5, tol=1e-6, start=start)
+    counter = _ProductCounter(op)
+    got = truncated_svd(counter, 5, tol=1e-6, start=start)
     assert finishes == [False]
+    # the pass that asked for the finish takes no second power step
+    assert counter.block_products == 3
     for a, b in zip((got.u, got.sigma, got.v), (expected.u, expected.sigma, expected.v)):
         assert np.array_equal(a, b)
 
