@@ -227,11 +227,15 @@ class PhaseOneResult:
     rho: float
     x_last: FactoredMatrix
     iterations: int
-    stabilized: bool
     sigma_top: float
     trace: SolveTrace
     first_iterate: FactoredMatrix | None = None
     diverged: bool = False
+
+    @property
+    def stabilized(self) -> bool:
+        """Whether rho stabilized, which is when phase one hands on ``first_iterate``."""
+        return self.first_iterate is not None
 
 
 class _Progress:
@@ -510,7 +514,7 @@ def phase_one(
     rho_prev = math.inf
     sigma_top = 0.0
     anchor = np.finfo(float).tiny
-    stabilized = diverged = False
+    diverged = False
     first_iterate = None
 
     for j in range(1, w + 1):
@@ -527,7 +531,6 @@ def phase_one(
             if g is None:
                 diverged = True
                 break
-            stabilized = True
             first_iterate = soft_threshold(FactoredMatrix(g.u[:, :r], g.sigma[:r], g.v[:, :r]), rho)
             progress.trace.append(1, rho, math.nan, math.nan, math.nan, x_prev.rank,
                                   svd_tol=progress.tol)
@@ -546,8 +549,8 @@ def phase_one(
         misfit_prev = misfit
         rho_prev = rho
 
-    return PhaseOneResult(_combined(op.z), rho, x_prev, progress.iterations, stabilized,
-                          sigma_top, progress.trace, first_iterate, diverged=diverged)
+    return PhaseOneResult(_combined(op.z), rho, x_prev, progress.iterations, sigma_top,
+                          progress.trace, first_iterate, diverged=diverged)
 
 
 def phase_two(

@@ -169,6 +169,16 @@ class LanczosStart:
         vector /= np.linalg.norm(vector)
         return cls(vector, bool(transposed))
 
+    def _factor(self, f: FactoredMatrix, name: str) -> np.ndarray:
+        """``f``'s factor on this start's side, checked to hold a triplet
+        and to have the vector's length; ``name`` is the argument reported."""
+        factor = f.u if self.transposed else f.v
+        if not f.k or factor.shape[0] != self.vector.size:
+            side = "rows" if self.transposed else "columns"
+            raise ValueError(f"{name} must hold a triplet and have {self.vector.size} {side} to "
+                             f"match the start, got shape {f.shape} with {f.k} triplets")
+        return factor
+
     def warm(self, f: FactoredMatrix) -> "LanczosStart":
         """The start of the run after the one that returned ``f``, on this
         start's side.
@@ -177,9 +187,10 @@ class LanczosStart:
         divided by its largest magnitude and then normalized; the new vector
         is ``s + 0.01 c/||c||``, with ``c`` this start's vector.  The mixed-in
         ``c`` keeps every direction of a cold start in the Krylov space, so
-        the run meets the same ``tol`` wherever ``s`` lies.
+        the run meets the same ``tol`` wherever ``s`` lies.  ``f`` must hold
+        a triplet and have the vector's length on this side.
         """
-        s = (f.u if self.transposed else f.v).sum(axis=1)
+        s = self._factor(f, "f").sum(axis=1)
         # divided by its largest magnitude, then normalized: the order fixes
         # the start's last bits, and so every warm-started solve's
         s = s / np.abs(s).max()
@@ -190,7 +201,8 @@ class LanczosStart:
     def predicted(self, f: FactoredMatrix, before: FactoredMatrix | None,
                   weight: float) -> "LanczosStart":
         """``warm(f)`` carrying a block: ``f``'s factor on this start's side,
-        its leading columns predicted, followed by ``c, c^2, c^3``.
+        its leading columns predicted, followed by ``c``, this start's
+        vector normalized.
 
         With ``V`` the first ``k - 1`` columns of the factor (its converged
         ones, k being ``f``'s column count) and ``V'`` those of ``before``,
@@ -198,18 +210,15 @@ class LanczosStart:
         columns are ``V + weight (V - V' (V'^T V))``: ``V`` moved on along
         the part of its last move that left ``V'``'s span.  They stay ``V``
         when ``before`` is None or has fewer than ``k`` columns, as ``V'``
-        would then hold its value-only column.  ``c`` is this start's vector
-        divided by its largest magnitude, taken elementwise to the powers
-        1-3: three columns that follow the data as ``c`` does and reach the
-        directions the factor misses.
+        would then hold its value-only column.  ``c`` follows the data and
+        reaches the directions the factor misses.  ``before``, when given,
+        is checked as ``f`` is.
         """
-        factor = f.u if self.transposed else f.v
-        c = self.vector / np.abs(self.vector).max()
-        block = np.column_stack((factor, c, c * c, c * c * c))
+        block = np.column_stack((self._factor(f, "f"), self.vector / np.linalg.norm(self.vector)))
         lead = f.k - 1
-        if lead and before is not None and before.k >= f.k:
+        prev = None if before is None else self._factor(before, "before")[:, :lead]
+        if lead and prev is not None and before.k >= f.k:
             v = block[:, :lead]
-            prev = (before.u if self.transposed else before.v)[:, :lead]
             v += weight * (v - prev @ (prev.T @ v))
         return LanczosStart(self.warm(f).vector, self.transposed, block)
 
@@ -476,8 +485,8 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
         nor finish meets the contract, or a block turns out rank deficient,
         the Lanczos run from ``start.vector`` follows, and returns what it
         returns without a block.  A block confined to an invariant subspace
-        finds triplets only there; ``cold.predicted(f, f', w)`` adds three
-        columns that reach what the cold start reaches.
+        finds triplets only there; ``cold.predicted(f, f', w)`` adds one
+        column, the cold start's vector, that reaches what it reaches.
     last_vector : bool
         With the default True every triplet meets the residual test.  With
         False only the first ``k - 1`` do; the k-th is accepted as soon as

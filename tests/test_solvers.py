@@ -153,6 +153,7 @@ def test_phase_one_fully_observed_exits_at_two(rng):
     p1 = phase_one(obs, 3, eps_rho=1e-4, w=50, beta=2.0)
     assert p1.iterations == 2
     assert p1.stabilized
+    assert p1.stabilized == (p1.first_iterate is not None)
     assert p1.rho <= 1e-10 * truth.sigma[0]
     assert np.allclose(p1.z.dense(), truth.dense(), atol=1e-8 * truth.sigma[0])
 
@@ -162,6 +163,7 @@ def test_phase_one_records_trace_and_respects_budget(rng):
     p1 = phase_one(obs, 2, eps_rho=1e-12, w=7, beta=2.0)
     assert p1.iterations == 7
     assert not p1.stabilized
+    assert p1.stabilized == (p1.first_iterate is not None)
     assert len(p1.trace) == 7
     times = p1.trace.column("time_s")
     assert (np.diff(times) >= 0).all()
@@ -622,8 +624,8 @@ def test_only_the_fixed_rank_loops_take_the_block_step(svd_calls, block_products
             [r.rel_change <= 0.1] * len(group) for r, group in zip(records, blocks[1:])]
         assert block_products
         if name != "svt":
-            # each block is the previous factor, 4 columns, plus 3 data columns
-            assert set(block_products) == {7}
+            # each block is the previous factor, 4 columns, plus 1 data column
+            assert set(block_products) == {5}
     else:
         assert not any(map(any, blocks)) and block_products == []
 
@@ -1143,5 +1145,6 @@ def test_a_nan_ends_phase_one_as_diverged(monkeypatch):
     poison_svd(monkeypatch, lambda kwargs, i: i == 2)
     p1 = phase_one(obs, 2)
     assert p1.diverged and not p1.stabilized
+    assert p1.stabilized == (p1.first_iterate is not None)
     assert p1.iterations == 1
     assert np.isfinite(p1.rho)

@@ -667,19 +667,19 @@ def test_block_start_meets_the_contract_in_block_products(rng, m, n, last_vector
     obs, op, previous = noisy_low_rank(rng, m, n)
     cold = LanczosStart.from_data(obs)
     start = cold.predicted(previous, None, 1.0)
-    assert start.block.shape == (m if cold.transposed else n, 8)
+    assert start.block.shape == (m if cold.transposed else n, 6)
     counter = _ProductCounter(op)
     f = truncated_svd(counter, 5, tol=1e-8, start=start, last_vector=last_vector)
     assert counter.vector_products == 0 and counter.block_products in (3, 5)
     assert_svd_contract(f, obs.dense(), 5, 1e-8, last_vector)
 
 
-def test_block_start_carries_the_factor_and_three_data_columns(rng):
+def test_block_start_carries_the_factor_and_one_data_column(rng):
     _, _, previous = noisy_low_rank(rng, 30, 20)
     vector = rng.standard_normal(20)
     start = LanczosStart(vector, False).predicted(previous, None, 1.0)
-    c = vector / np.abs(vector).max()
-    assert np.array_equal(start.block, np.column_stack((previous.v, c, c * c, c * c * c)))
+    c = vector / np.linalg.norm(vector)
+    assert np.array_equal(start.block, np.column_stack((previous.v, c)))
     assert np.array_equal(start.vector, LanczosStart(vector, False).warm(previous).vector)
     assert not start.block.flags.writeable
 
@@ -691,7 +691,7 @@ def test_block_start_falls_back_to_lanczos(rng, case):
     obs, op, previous = noisy_low_rank(rng, 60, 40)
     cold = LanczosStart.from_data(obs)
     if case == "orthogonal-to-the-top":
-        # the data's 6th to 10th triplets, plus the data columns
+        # the data's 6th to 10th triplets, plus the data column
         full = dense_svd(obs.dense())
         wrong = FactoredMatrix(full.u[:, 5:10], full.sigma[5:10], full.v[:, 5:10])
         start = cold.predicted(wrong, None, 1.0)
@@ -726,6 +726,26 @@ def test_bad_block_rejected():
             LanczosStart(np.ones(10), False, block)
 
 
+def test_warm_and_predicted_reject_a_result_that_does_not_fit(rng):
+    # f's factor on the start's side must hold a triplet and have the
+    # vector's length, and so must before's
+    column_side = LanczosStart(np.ones(20), False)
+    row_side = LanczosStart(np.ones(30), True)
+    fits = random_factored(rng, 30, 20, 3)
+    columns = r"must hold a triplet and have 20 columns to match the start, got shape "
+    rows = r"must hold a triplet and have 30 rows to match the start, got shape "
+    for start, bad, message in (
+            (column_side, random_factored(rng, 30, 19, 3), columns + r"\(30, 19\) with 3 triplets"),
+            (row_side, random_factored(rng, 29, 20, 3), rows + r"\(29, 20\) with 3 triplets"),
+            (column_side, FactoredMatrix.zero(30, 20), columns + r"\(30, 20\) with 0 triplets"),
+            (row_side, FactoredMatrix.zero(30, 20), rows + r"\(30, 20\) with 0 triplets")):
+        for call in (lambda: start.warm(bad), lambda: start.predicted(bad, fits, 0.4)):
+            with pytest.raises(ValueError, match="^f " + message):
+                call()
+        with pytest.raises(ValueError, match="^before " + message):
+            start.predicted(fits, bad, 0.4)
+
+
 def test_start_block_is_a_copy():
     # a later write to the caller's array leaves the start as it was built
     block = np.ones((5, 2))
@@ -741,12 +761,12 @@ def test_start_block_is_a_copy():
 @pytest.mark.parametrize("transposed", [False, True])
 def test_predicted_block_moves_the_leading_columns_on(rng, transposed):
     # the first k - 1 factor columns go on along their last move, weighted;
-    # the k-th column and the data columns stay, and the vector is warm()'s
+    # the k-th column and the data column stay, and the vector is warm()'s
     _, _, previous = noisy_low_rank(rng, 30, 20)
     _, _, before = noisy_low_rank(rng, 30, 20)
     cold = LanczosStart(rng.standard_normal(30 if transposed else 20), transposed)
-    c = cold.vector / np.abs(cold.vector).max()
-    plain = np.column_stack((previous.u if transposed else previous.v, c, c * c, c * c * c))
+    c = cold.vector / np.linalg.norm(cold.vector)
+    plain = np.column_stack((previous.u if transposed else previous.v, c))
     start = cold.predicted(previous, before, 0.4)
     v = plain[:, :4]
     w = (before.u if transposed else before.v)[:, :4]
