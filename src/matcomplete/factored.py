@@ -73,9 +73,10 @@ class FactoredMatrix:
         if k:
             gu = self.u.T @ self.u - np.eye(k)
             gv = self.v.T @ self.v - np.eye(k)
-            if np.abs(gu).max() > tol:
+            # "not <=", so that a NaN deviation fails too
+            if not np.abs(gu).max() <= tol:
                 raise ValueError(f"left factor not orthonormal (max dev {np.abs(gu).max():.3e})")
-            if np.abs(gv).max() > tol:
+            if not np.abs(gv).max() <= tol:
                 raise ValueError(f"right factor not orthonormal (max dev {np.abs(gv).max():.3e})")
             if (self.sigma < 0).any():
                 raise ValueError("negative singular value")

@@ -14,8 +14,9 @@ from .observed import ObservedMatrix
 class SpLrOperator:
     """The matrix ``z + P_omega(s)`` as a matrix-free operator, on the omega of ``obs``.
 
-    Applying the operator costs one sparse product on ``s`` plus two skinny
-    dense products on the factors, so large iterates never have to be
+    Each of its products, with a vector or a block and on either side, is
+    the one formula of :func:`_product`: one sparse product on ``s`` plus two
+    skinny dense products on the factors, so large iterates never have to be
     densified.  ``residual`` holds ``s`` aligned with the canonical entry
     order of ``obs``.  With the misfit ``s = obs.values - z[omega]`` this is
     the filled-in iterate ``z + P_omega(a - z)``; svt passes its sparse dual
@@ -55,45 +56,32 @@ class SpLrOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.shape[1],):
             raise ValueError(f"expected a vector of length {self.shape[1]}, got {x.shape}")
-        out = self._sparse @ x
         u, w, v = self._low_rank
-        if w.size:
-            out = out + u @ (w * (v.T @ x))
-        return out
+        # not through matmat, so that a wrapper of matmat sees block products only
+        return _product(self._sparse, u, w, v, x[:, None])[:, 0]
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.shape[0],):
             raise ValueError(f"expected a vector of length {self.shape[0]}, got {y.shape}")
-        out = self._sparse_t @ y
         u, w, v = self._low_rank
-        if w.size:
-            out = out + v @ (w * (u.T @ y))
-        return out
+        return _product(self._sparse_t, v, w, u, y[:, None])[:, 0]
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
-        """The operator times an n-by-b block: one multi-vector sparse product
-        on a C-ordered copy of the block, plus two GEMMs for the low-rank
-        part."""
+        """The operator times an n-by-b block, taken as a C-ordered copy."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.shape[1]:
             raise ValueError(f"expected a block of {self.shape[1]} rows, got {x.shape}")
-        out = self._sparse @ x
         u, w, v = self._low_rank
-        if w.size:
-            out += u @ (w[:, None] * (v.T @ x))
-        return out
+        return _product(self._sparse, u, w, v, x)
 
     def rmatmat(self, y: np.ndarray) -> np.ndarray:
         """The transpose times an m-by-b block, as :meth:`matmat`."""
         y = np.ascontiguousarray(y, dtype=np.float64)
         if y.ndim != 2 or y.shape[0] != self.shape[0]:
             raise ValueError(f"expected a block of {self.shape[0]} rows, got {y.shape}")
-        out = self._sparse_t @ y
         u, w, v = self._low_rank
-        if w.size:
-            out += v @ (w[:, None] * (u.T @ y))
-        return out
+        return _product(self._sparse_t, v, w, u, y)
 
     def check_residual(self, tol: float = 1e-12) -> None:
         """Verify a misfit operator, ``s = obs.values - P_omega(z)``, against a
@@ -112,6 +100,16 @@ class SpLrOperator:
         out = self.z.dense()
         out[self.obs.rows, self.obs.cols] += self.residual
         return out
+
+
+def _product(sparse, left, w, right, x):
+    """``sparse @ x + left diag(w) right^T x`` for a block ``x``: every
+    :class:`SpLrOperator` product, a vector taken as a one-column block and
+    the transpose with the factors swapped."""
+    out = sparse @ x
+    if w.size:
+        out += left @ (w[:, None] * (right.T @ x))
+    return out
 
 
 def assemble_iterate_operator(obs: ObservedMatrix, z: FactoredMatrix) -> SpLrOperator:

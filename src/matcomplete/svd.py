@@ -212,15 +212,22 @@ class LanczosStart:
         when ``before`` is None or has fewer than ``k`` columns, as ``V'``
         would then hold its value-only column.  ``c`` follows the data and
         reaches the directions the factor misses.  ``before``, when given,
-        is checked as ``f`` is.
+        is checked as ``f`` is.  When ``f``'s last value is at most
+        ``_CHOLESKY_FLOOR`` times its first (the SVD of zero, say), CholeskyQR
+        would fail on the first block product, so the result is ``warm(f)``,
+        with no block.
         """
-        block = np.column_stack((self._factor(f, "f"), self.vector / np.linalg.norm(self.vector)))
+        factor = self._factor(f, "f")
         lead = f.k - 1
         prev = None if before is None else self._factor(before, "before")[:, :lead]
+        warm = self.warm(f)
+        if f.sigma[-1] <= _CHOLESKY_FLOOR * f.sigma[0]:
+            return warm
+        block = np.column_stack((factor, self.vector / np.linalg.norm(self.vector)))
         if lead and prev is not None and before.k >= f.k:
             v = block[:, :lead]
             v += weight * (v - prev @ (prev.T @ v))
-        return LanczosStart(self.warm(f).vector, self.transposed, block)
+        return LanczosStart(warm.vector, self.transposed, block)
 
 
 class _Transposed:
@@ -431,18 +438,16 @@ def _deflated_finish(op, u, s, v, tol):
 
 
 def _orthonormal_result(u, sigma, v):
-    """``U diag(sigma) V^T`` when both factors' columns are orthonormal to
-    ``_ORTHONORMAL_TOL``, else None."""
-    return FactoredMatrix(u, sigma, v) if _orthonormal(u) and _orthonormal(v) else None
+    """``U diag(sigma) V^T`` when it passes :meth:`FactoredMatrix.validate`
+    at ``_ORTHONORMAL_TOL``, else None."""
+    try:
+        return FactoredMatrix(u, sigma, v).validate(_ORTHONORMAL_TOL)
+    except ValueError:
+        return None
 
 
-def _orthonormal(q):
-    """Whether ``q``'s columns are orthonormal to ``_ORTHONORMAL_TOL``."""
-    return np.abs(q.T @ q - np.eye(q.shape[1])).max() <= _ORTHONORMAL_TOL
-
-
-def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = None, *,
-                  start: LanczosStart | None = None, last_vector: bool = True) -> FactoredMatrix:
+def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, *, start: LanczosStart | None = None,
+                  last_vector: bool = True) -> FactoredMatrix:
     """Leading ``k`` singular triplets of a matrix-free operator.
 
     Parameters
@@ -454,11 +459,9 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     tol : float
         Convergence tolerance relative to the leading singular value: a Ritz
         pair is accepted once its residual drops below ``tol * sigma_1``.
-    max_steps : int, optional
-        Lanczos step budget across restarts, an integer of at least ``k``
-        (a run checks its triplets only once it has taken ``k`` steps);
-        defaults to ``10 * k + 100``.  Exhaustion raises
-        :class:`TruncatedSvdError` carrying the best triplets found so far.
+        The Lanczos run has a fixed budget of ``10 * k + 100`` steps across
+        restarts; exhaustion raises :class:`TruncatedSvdError` carrying the
+        best triplets found so far.
     start : LanczosStart, optional
         The run's start vector and side: a cold start derived from the data
         (:meth:`LanczosStart.from_data`), or a warm one from an earlier call
@@ -506,11 +509,7 @@ def truncated_svd(op, k: int, tol: float = DEFAULT_TOL, max_steps: int | None = 
     if k > p:
         raise ValueError(f"requested {k} triplets from a {m}x{n} operator")
     check_positive(tol=tol)
-    if max_steps is None:
-        max_steps = 10 * k + 100
-    check_counts(max_steps=max_steps)
-    if max_steps < k:
-        raise ValueError(f"max_steps ({max_steps}) must be at least k ({k})")
+    max_steps = 10 * k + 100
     rng = np.random.default_rng(0x1B1D)
     if start is None:
         start = LanczosStart(rng.standard_normal(n), False)

@@ -36,6 +36,10 @@ def test_validate_accepts_good_and_rejects_bad(rng):
     skewed = FactoredMatrix(f.u * 1.01, f.sigma, f.v)
     with pytest.raises(ValueError, match="orthonormal"):
         skewed.validate()
+    # a NaN factor is not orthonormal: its deviation compares false with tol
+    for u, v, side in ((f.u * np.nan, f.v, "left"), (f.u, f.v * np.nan, "right")):
+        with pytest.raises(ValueError, match=f"{side} factor not orthonormal"):
+            FactoredMatrix(u, f.sigma, v).validate()
     disordered = FactoredMatrix(f.u, np.sort(f.sigma), f.v)
     with pytest.raises(ValueError, match="nonincreasing"):
         disordered.validate()

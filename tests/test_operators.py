@@ -73,6 +73,10 @@ def test_block_products_match_dense_oracle(rng):
                                  (transposed.rmatmat(x), dense @ x, x)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * scale * np.abs(block).sum(axis=0).max()
+        # a single product is the one-column block product, bit for bit; a
+        # column of a wider block goes through another BLAS kernel
+        assert np.array_equal(op.matmat(x[:, 2:3])[:, 0], op.matvec(x[:, 2]))
+        assert np.array_equal(op.rmatmat(y[:, 2:3])[:, 0], op.rmatvec(y[:, 2]))
         assert np.allclose(op.matmat(x)[:, 2], op.matvec(x[:, 2]), rtol=1e-13, atol=1e-13 * scale)
 
 

@@ -619,9 +619,15 @@ def test_only_the_fixed_rank_loops_take_the_block_step(svd_calls, block_products
               for group in calls_by_iteration(svd_calls)]
     if name in ("phase_one", "frsi", "svt"):
         # each SVD of an iteration, svt's regrowth calls included, reads the
-        # change ratio of the step before it
-        assert blocks == [[False] * len(blocks[0])] + [
-            [r.rel_change <= 0.1] * len(group) for r, group in zip(records, blocks[1:])]
+        # change ratio of the step before it, and none follows an SVD whose
+        # last value is at most 1e-6 of its first: svt's second SVD follows
+        # the SVD of its zero dual
+        settled = [False] * len(blocks[0]) + [
+            r.rel_change <= 0.1 for r, group in zip(records, blocks[1:]) for _ in group]
+        previous = [None] + [f for _, f, _ in svd_calls[:-1]]
+        assert sum(blocks, []) == [
+            s and f.sigma[-1] > 1e-6 * f.sigma[0] for s, f in zip(settled, previous)]
+        assert (name == "svt") == (settled != sum(blocks, []))
         assert block_products
         if name != "svt":
             # each block is the previous factor, 4 columns, plus 1 data column

@@ -131,14 +131,19 @@ def test_full_decomposition_is_exact_at_every_rank(m, n, transposed, last_vector
         assert np.abs(f.dense() - a).max() <= 1e-12 * scale
 
 
-def test_budget_exhaustion_carries_best(rng):
-    op = splr_op(rng, 60, 70, 3, 0.25)
+def test_budget_exhaustion_carries_best():
+    # the top 60 of 120 values lie within 1e-3 of 1, so no residual reaches
+    # 1e-300 sigma_1 within the fixed budget of 10 k + 100 = 110 steps
+    values = np.concatenate((1.0 - 1e-3 * np.linspace(0.0, 1.0, 60), np.linspace(0.5, 0.01, 60)))
+    obs = ObservedMatrix(120, 120, np.arange(120), np.arange(120), values)
+    counting = _CountingOperator(assemble_iterate_operator(obs, FactoredMatrix.zero(120, 120)))
     with pytest.raises(TruncatedSvdError) as info:
-        truncated_svd(op, 5, tol=1e-10, max_steps=5)
+        truncated_svd(counting, 1, tol=1e-300)
+    assert counting.steps == 110
     err = info.value
     assert isinstance(err.best, FactoredMatrix)
-    assert err.best.k == 5
-    assert err.converged.shape == (5,)
+    assert err.best.k == 1
+    assert err.converged.shape == (1,)
     assert not err.converged.all()
 
 
@@ -154,18 +159,6 @@ def test_argument_validation(rng):
     for tol in (0.0, np.inf):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             truncated_svd(op, 2, tol=tol)
-    for max_steps in (0, -5):
-        with pytest.raises(ValueError, match="max_steps must be at least 1"):
-            truncated_svd(op, 2, max_steps=max_steps)
-    for max_steps in (2.5, True, np.nan):
-        with pytest.raises(ValueError, match="max_steps must be an integer"):
-            truncated_svd(op, 2, max_steps=max_steps)
-    # a run checks its triplets only after k steps, so a smaller budget can
-    # never succeed; it is refused before any product
-    counting = _CountingOperator(splr_op(rng, 40, 30, 2, 0.4))
-    with pytest.raises(ValueError, match=r"max_steps \(2\) must be at least k \(6\)"):
-        truncated_svd(counting, 6, max_steps=2)
-    assert counting.steps == 0
 
 
 def test_repeat_calls_are_bitwise_identical(rng):
@@ -682,6 +675,28 @@ def test_block_start_carries_the_factor_and_one_data_column(rng):
     assert np.array_equal(start.block, np.column_stack((previous.v, c)))
     assert np.array_equal(start.vector, LanczosStart(vector, False).warm(previous).vector)
     assert not start.block.flags.writeable
+
+
+def test_predicted_start_below_the_floor_carries_no_block(rng):
+    # after an SVD whose last value is at most 1e-6 of its first, as of the
+    # zero matrix, CholeskyQR would fail on the first block product: the
+    # start is warm(f), and the call runs Lanczos with no block product
+    obs, op, previous = noisy_low_rank(rng, 50, 70)
+    cold = LanczosStart.from_data(obs)
+    for sigma, carries in ((np.zeros(5), False), ([1.0, 0.8, 0.6, 0.4, 1e-6], False),
+                           ([1.0, 0.8, 0.6, 0.4, 2e-6], True)):
+        f = FactoredMatrix(previous.u, sigma, previous.v)
+        start = cold.predicted(f, previous, 0.4)
+        assert (start.block is not None) == carries
+        if carries:
+            continue
+        assert np.array_equal(start.vector, cold.warm(f).vector)
+        counter = _ProductCounter(op)
+        got = truncated_svd(counter, 5, tol=1e-8, start=start)
+        assert counter.block_products == 0
+        expected = truncated_svd(op, 5, tol=1e-8, start=cold.warm(f))
+        for a, b in zip((got.u, got.sigma, got.v), (expected.u, expected.sigma, expected.v)):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("case", ["orthogonal-to-the-top", "rank-deficient"])
